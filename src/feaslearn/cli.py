@@ -214,8 +214,11 @@ def run_experiment(config, output_root: str | None = None) -> dict:
     for seed in cfg["seeds"]:
         train_ds, test_ds = build_dataset(cfg, seed)
         model = build_model(cfg, train_ds)
-        tcfg = tr.TrainerConfig(seed=seed, **cfg["trainer"])
-        record = tr.train(tcfg, model, train_ds, test_ds)
+        try:
+            tcfg = tr.TrainerConfig(seed=seed, **cfg["trainer"])
+            record = tr.train(tcfg, model, train_ds, test_ds)
+        except ParameterError as err:
+            raise ConfigError(f"seed {seed}: {err}")
         record.config["experiment"] = {k: cfg[k] for k in ("name", "dataset", "split", "model", "metrics")}
         tr.save_run(record, os.path.join(outdir, f"seed_{seed}"))
         per_seed[str(seed)] = _seed_metrics(cfg, record, model, train_ds, test_ds)

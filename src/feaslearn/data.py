@@ -45,7 +45,10 @@ class Dataset:
         if self.ids.shape != (n,) or not np.array_equal(np.sort(self.ids), np.arange(n)):
             raise ParameterError("ids must be a permutation of 0..n-1")
         if self.task == CLASSIFICATION:
-            self.targets = np.asarray(self.targets, dtype=np.int64)
+            labels = np.asarray(self.targets)
+            if labels.dtype.kind not in "biu" and not np.all(np.mod(labels, 1.0) == 0.0):
+                raise ParameterError("classification targets must be integer labels")
+            self.targets = labels.astype(np.int64)
             if self.targets.min(initial=0) < 0:
                 raise ParameterError("classification targets must be non-negative labels")
         elif self.task == REGRESSION:
@@ -251,13 +254,13 @@ def epoch_rng(epoch_seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def batch_iter(dataset: Dataset, batch_size: int, epoch_seed: int) -> Iterator[Batch]:
+def batch_iter(dataset: Dataset | Batch, batch_size: int, epoch_seed: int) -> Iterator[Batch]:
     """Shuffled partition of the dataset into batches, without replacement.
 
     The union of batches over one epoch is exactly the full id set; the last
     batch may be smaller.
     """
-    n = dataset.n_samples
+    n = len(dataset.ids)
     if batch_size < 1 or batch_size > n:
         raise ParameterError(f"batch_size must lie in 1..{n}")
     perm = epoch_rng(epoch_seed).permutation(n)

@@ -21,5 +21,11 @@ class NumericError(RuntimeError):
         self.ids = [int(i) for i in ids] if ids is not None else []
 
 
+def named_rows(mask, ids=None) -> list[int]:
+    """Ids of the rows where the boolean array mask holds (positions if ids is None)."""
+    rows = mask.nonzero()[0]
+    return [int(i) for i in (rows if ids is None else ids[rows])]
+
+
 class ConfigError(ValueError):
     """An experiment config failed validation."""

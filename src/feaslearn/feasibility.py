@@ -13,11 +13,11 @@ demand from the multipliers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ParameterError, ShapeError
+from .errors import NumericError, ParameterError, ShapeError, named_rows
 
 FL = "fl"
 RFL = "rfl"
@@ -59,14 +59,11 @@ class MultiplierState:
     """One non-negative multiplier per training sample, zero-initialized."""
 
     lam: np.ndarray
-    last_update: np.ndarray = field(default=None)
 
     def __post_init__(self):
         self.lam = np.asarray(self.lam, dtype=np.float64)
         if (self.lam < 0).any():
             raise ParameterError("multipliers must be non-negative")
-        if self.last_update is None:
-            self.last_update = np.full(self.lam.shape, -1, dtype=np.int64)
 
     @classmethod
     def zeros(cls, n: int) -> "MultiplierState":
@@ -109,12 +106,13 @@ def dual_step_fl(lam, v, eta_lam: float) -> np.ndarray:
     return dual_step_rfl(lam, v, eta_lam, math.inf)
 
 
-def dual_step_rfl(lam, v, eta_lam: float, alpha: float) -> np.ndarray:
+def dual_step_rfl(lam, v, eta_lam: float, alpha: float, ids=None) -> np.ndarray:
     """Ascent with multiplier decay 1/alpha: [lam + eta * (v - lam/alpha)]_+.
 
     The decay discounts historical violations, which keeps multipliers of
     unsatisfiable constraints bounded (fixed point alpha * v for constant
     violation v). alpha = inf recovers the plain ascent step exactly.
+    A non-finite result names its samples by ``ids`` (positions when None).
     """
     if eta_lam <= 0:
         raise ParameterError("eta_lam must be positive")
@@ -125,8 +123,8 @@ def dual_step_rfl(lam, v, eta_lam: float, alpha: float) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.maximum(lam + eta_lam * (v - lam / alpha), 0.0)
     if not np.all(np.isfinite(out)):
-        ids = np.nonzero(~np.isfinite(out))[0]
-        raise NumericError(f"dual update produced non-finite multipliers at {ids.tolist()}", ids=ids)
+        named = named_rows(~np.isfinite(out), ids)
+        raise NumericError(f"dual update produced non-finite multipliers at {named}", ids=named)
     return out
 
 

@@ -47,17 +47,13 @@ def empirical_quantile(losses, q: float) -> float:
 
 
 def cvar(losses, q: float) -> float:
-    """Mean loss over samples strictly above the q-th empirical quantile.
-
-    Falls back to the maximum loss when ties at the top leave the strict
-    tail empty (e.g. a constant loss vector).
+    """Rockafellar-Uryasev CVaR: VaR + mean([L - VaR]_+) / (1 - q), VaR the q-th
+    empirical quantile. It equals the minimum over t of t + mean([L - t]_+) / (1 - q),
+    so it never decreases as q or any loss grows; CVaR(0) is the mean loss.
     """
     losses = np.asarray(losses, dtype=np.float64)
-    threshold = empirical_quantile(losses, q)
-    tail = losses[losses > threshold]
-    if tail.size == 0:
-        return float(losses.max())
-    return float(tail.mean())
+    var = empirical_quantile(losses, q)
+    return float(var + np.maximum(losses - var, 0.0).mean() / (1.0 - q))
 
 
 def summary(losses, correct=None) -> dict:

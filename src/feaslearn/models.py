@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import data as _data
-from .errors import NumericError, ParameterError, ShapeError
+from .errors import NumericError, ParameterError, ShapeError, named_rows
 
 SQUARED_ERROR = "squared_error"
 CROSS_ENTROPY = "cross_entropy"
@@ -53,7 +53,11 @@ class ModelParams:
 
 
 class Model:
-    """Base class: subclasses define forward_cache / backward and init."""
+    """Base class: subclasses define forward_cache / backward and init.
+
+    ``forward_cache`` takes what the fixed map ``featurize`` (by default the
+    identity) returns; ``forward`` and :func:`weighted_loss_grad` take raw inputs.
+    """
 
     task: str
     n_params: int
@@ -64,6 +68,9 @@ class Model:
     def init_params(self, seed: int) -> np.ndarray:
         raise NotImplementedError
 
+    def featurize(self, features):
+        return features
+
     def forward_cache(self, theta, features):
         raise NotImplementedError
 
@@ -71,7 +78,7 @@ class Model:
         raise NotImplementedError
 
     def forward(self, theta, features) -> np.ndarray:
-        preds, _ = self.forward_cache(theta, features)
+        preds, _ = self.forward_cache(theta, self.featurize(features))
         return preds
 
     def _check_theta(self, theta) -> np.ndarray:
@@ -116,44 +123,27 @@ class LinearModel(Model):
         return cache.T @ np.asarray(grad_pred, dtype=np.float64)
 
 
-class PolyModel(Model):
-    """Polynomial regressor: basis expansion of a scalar input, then linear."""
-
-    task = _data.REGRESSION
+class PolyModel(LinearModel):
+    """Polynomial regressor: a fixed basis expansion of a scalar input, then linear."""
 
     def __init__(self, degree: int, basis: str = "chebyshev",
                  domain: tuple[float, float] | None = None):
         if degree < 0:
             raise ParameterError("degree must be >= 0")
+        super().__init__(degree + 1)
         self.degree = degree
         self.basis = basis
         self.domain = tuple(domain) if domain is not None else None
-        self.n_params = degree + 1
 
     def descriptor(self) -> str:
         dom = "none" if self.domain is None else f"{self.domain[0]!r},{self.domain[1]!r}"
         return f"poly {self.degree} {self.basis} {dom}"
 
-    def init_params(self, seed: int) -> np.ndarray:
-        return np.zeros(self.n_params)
-
-    def expand(self, features) -> np.ndarray:
+    def featurize(self, features) -> np.ndarray:
         x = np.asarray(features, dtype=np.float64)
-        if x.ndim == 2:
-            if x.shape[1] != 1:
-                raise ShapeError("polynomial models take a single input feature")
-            x = x[:, 0]
+        if x.ndim == 2 and x.shape[1] != 1:
+            raise ShapeError("polynomial models take a single input feature")
         return _data.poly_features(x, self.degree, self.basis, self.domain)
-
-    def forward_cache(self, theta, features):
-        theta = self._check_theta(theta)
-        Phi = self.expand(features)
-        _PASS_COUNTS["forward"] += 1
-        return Phi @ theta, Phi
-
-    def backward(self, cache, grad_pred):
-        _PASS_COUNTS["backward"] += 1
-        return cache.T @ np.asarray(grad_pred, dtype=np.float64)
 
 
 class MLP(Model):
@@ -248,18 +238,19 @@ def model_from_descriptor(descriptor: str) -> Model:
     raise ParameterError(f"unparseable shape descriptor {descriptor!r}")
 
 
-def per_sample_loss(kind: str, predictions, targets) -> np.ndarray:
+def per_sample_loss(kind: str, predictions, targets, ids=None) -> np.ndarray:
     """Non-negative loss per sample.
 
     squared_error: (pred - y)^2 for scalar predictions.
     cross_entropy: -log softmax(logits)[y], computed from logits via a
     stable log-sum-exp (never from normalized probabilities).
+    Errors name the offending samples by ``ids``, or by row position when None.
     """
     predictions = np.asarray(predictions, dtype=np.float64)
     bad = ~np.isfinite(predictions)
     if bad.any():
-        ids = np.nonzero(bad.any(axis=-1) if predictions.ndim > 1 else bad)[0]
-        raise NumericError(f"non-finite predictions for samples {ids.tolist()}", ids=ids)
+        named = named_rows(bad.any(axis=-1) if predictions.ndim > 1 else bad, ids)
+        raise NumericError(f"non-finite predictions for samples {named}", ids=named)
     if kind == SQUARED_ERROR:
         targets = np.asarray(targets, dtype=np.float64)
         if predictions.shape != targets.shape:
@@ -270,6 +261,10 @@ def per_sample_loss(kind: str, predictions, targets) -> np.ndarray:
         targets = np.asarray(targets, dtype=np.int64)
         if predictions.ndim != 2 or targets.shape != (predictions.shape[0],):
             raise ShapeError("cross_entropy expects (n, C) logits and (n,) labels")
+        beyond = targets >= predictions.shape[1]
+        if beyond.any():
+            raise ParameterError(f"samples {named_rows(beyond, ids)} have class labels at or "
+                                 f"above the model's output width {predictions.shape[1]}")
         zmax = predictions.max(axis=1, keepdims=True)
         lse = np.log(np.exp(predictions - zmax).sum(axis=1)) + zmax[:, 0]
         out = lse - predictions[np.arange(len(targets)), targets]
@@ -277,8 +272,8 @@ def per_sample_loss(kind: str, predictions, targets) -> np.ndarray:
         raise ParameterError(f"unknown loss kind {kind!r}")
     overflow = ~np.isfinite(out)
     if overflow.any():
-        ids = np.nonzero(overflow)[0]
-        raise NumericError(f"non-finite losses for samples {ids.tolist()}", ids=ids)
+        named = named_rows(overflow, ids)
+        raise NumericError(f"non-finite losses for samples {named}", ids=named)
     return out
 
 
@@ -300,7 +295,7 @@ def loss_grad(kind: str, predictions, targets) -> np.ndarray:
 def weighted_loss_grad(model: Model, theta, batch, weights, kind: str) -> np.ndarray:
     """Gradient of sum_i weights_i * loss_i(theta) in one forward/backward pass.
 
-    ``batch`` is any object with .features and .targets. Weights must be
+    ``batch`` is any object with raw .features and .targets. Weights must be
     non-negative; the result is linear in them.
     """
     weights = np.asarray(weights, dtype=np.float64)
@@ -308,7 +303,7 @@ def weighted_loss_grad(model: Model, theta, batch, weights, kind: str) -> np.nda
         raise ShapeError("weights must have one entry per batch sample")
     if (weights < 0).any():
         raise ParameterError("weights must be non-negative")
-    preds, cache = model.forward_cache(theta, batch.features)
+    preds, cache = model.forward_cache(theta, model.featurize(batch.features))
     dpred = loss_grad(kind, preds, batch.targets)
     scaled = weights * dpred if dpred.ndim == 1 else weights[:, None] * dpred
     grad = model.backward(cache, scaled)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import feasibility as fs
 from . import models
-from .data import Batch, CLASSIFICATION, REGRESSION, Dataset, poly_features
+from .data import Batch, CLASSIFICATION, REGRESSION, Dataset
 from .errors import NumericError, ParameterError
 
 DEFAULT_FAMILIES = ("linear", "poly", "mlp_regressor", "mlp_classifier")
@@ -49,34 +49,27 @@ def random_problem(family: str, rng: np.random.Generator):
     """Draw a small random (model, theta, batch, loss kind) instance of a family."""
     n = int(rng.integers(3, 12))
     if family == "linear":
-        d = int(rng.integers(1, 6))
-        model = models.LinearModel(d)
+        model = models.LinearModel(int(rng.integers(1, 6)))
         theta = rng.normal(size=model.n_params)
-        X = rng.normal(size=(n, d))
-        y = rng.normal(size=n)
-        return model, theta, Batch(np.arange(n), X, y), models.SQUARED_ERROR
-    if family == "poly":
-        degree = int(rng.integers(1, 7))
-        model = models.PolyModel(degree, "chebyshev", (0.0, 1.0))
+        X = rng.normal(size=(n, model.n_features))
+    elif family == "poly":
+        model = models.PolyModel(int(rng.integers(1, 7)), "chebyshev", (0.0, 1.0))
         theta = rng.normal(size=model.n_params)
         X = rng.uniform(0.0, 1.0, size=(n, 1))
-        y = rng.normal(size=n)
-        return model, theta, Batch(np.arange(n), X, y), models.SQUARED_ERROR
-    if family == "mlp_regressor":
+    elif family in ("mlp_regressor", "mlp_classifier"):
         d, hdim = int(rng.integers(1, 4)), int(rng.integers(2, 8))
-        model = models.MLP((d, hdim, 1), task=REGRESSION)
+        if family == "mlp_regressor":
+            model = models.MLP((d, hdim, 1), task=REGRESSION)
+        else:
+            model = models.MLP((d, hdim, int(rng.integers(2, 5))), task=CLASSIFICATION)
         theta = model.init_params(int(rng.integers(0, 2**31))) + 0.1 * rng.normal(size=model.n_params)
         X = rng.normal(size=(n, d))
-        y = rng.normal(size=n)
-        return model, theta, Batch(np.arange(n), X, y), models.SQUARED_ERROR
-    if family == "mlp_classifier":
-        d, hdim, c = int(rng.integers(1, 4)), int(rng.integers(2, 8)), int(rng.integers(2, 5))
-        model = models.MLP((d, hdim, c), task=CLASSIFICATION)
-        theta = model.init_params(int(rng.integers(0, 2**31))) + 0.1 * rng.normal(size=model.n_params)
-        X = rng.normal(size=(n, d))
-        y = rng.integers(0, c, size=n)
+    else:
+        raise ParameterError(f"unknown model family {family!r}")
+    if model.task == CLASSIFICATION:
+        y = rng.integers(0, model.layers[-1], size=n)
         return model, theta, Batch(np.arange(n), X, y), models.CROSS_ENTROPY
-    raise ParameterError(f"unknown model family {family!r}")
+    return model, theta, Batch(np.arange(n), X, rng.normal(size=n)), models.SQUARED_ERROR
 
 
 def check_cserm_identity(model_family: str = "all", n_trials: int = 1000,

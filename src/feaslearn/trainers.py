@@ -27,9 +27,8 @@ import numpy as np
 
 from . import feasibility as fs
 from . import models
-from .data import CLASSIFICATION, Dataset, batch_iter, combine_seed
+from .data import CLASSIFICATION, Batch, Dataset, batch_iter, combine_seed
 from .errors import NumericError, ParameterError
-from .metrics import multiplier_stats
 
 ERM = "erm"
 FL = "fl"
@@ -111,6 +110,7 @@ class RunRecord:
     wall_clock_s: float
     train_pass_counts: dict
     metadata: dict = field(default_factory=dict)
+    abort: dict | None = None  # {"epoch", "step", "ids"} of an aborted run
 
     @property
     def aborted(self) -> bool:
@@ -174,14 +174,18 @@ def _loss_kind(dataset: Dataset) -> str:
     return models.CROSS_ENTROPY if dataset.task == CLASSIFICATION else models.SQUARED_ERROR
 
 
-def _eval_split(model, theta, dataset, kind):
-    preds = model.forward(theta, dataset.features)
-    losses = models.per_sample_loss(kind, preds, dataset.targets)
-    if dataset.task == CLASSIFICATION:
-        accuracy = float(np.mean(preds.argmax(axis=1) == dataset.targets))
-    else:
-        accuracy = math.nan
-    return losses, accuracy
+def _featurized(model: models.Model, dataset: Dataset) -> Batch:
+    # A Batch, not a Dataset: an expansion that overflows must abort the run
+    # as a non-finite prediction, not be rejected as invalid input.
+    return Batch(dataset.ids, model.featurize(dataset.features), dataset.targets)
+
+
+def _eval_split(model, theta, rows: Batch, kind):
+    preds, _ = model.forward_cache(theta, rows.features)
+    losses = models.per_sample_loss(kind, preds, rows.targets, rows.ids)
+    if kind == models.CROSS_ENTROPY:
+        return losses, float(np.mean(preds.argmax(axis=1) == rows.targets))
+    return losses, math.nan
 
 
 def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
@@ -191,6 +195,8 @@ def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
     Within every step the batch losses are computed once, the multipliers of
     exactly the batch samples are updated (fl/rfl), and the primal step uses
     the freshly updated values. Deterministic for fixed config and seed.
+    Both splits are featurized once, up front; every step and evaluation
+    then runs the model on rows of the featurized matrices.
     Runs abort (status "aborted", reason recorded) on non-finite losses or
     parameters, or when any multiplier exceeds the blow-up threshold.
     """
@@ -209,9 +215,11 @@ def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
     batch_size = config.batch_size if config.batch_size is not None else n
     steps_per_epoch = math.ceil(n / batch_size)
     total_steps = max(config.epochs * steps_per_epoch, 1)
+    train_rows = _featurized(model, train_ds)
+    test_rows = _featurized(model, test_ds) if test_ds is not None else None
 
     trajectory: list[dict] = []
-    status, abort_reason = "completed", None
+    abort_reason = abort = None
     passes = {"forward": 0, "backward": 0}
     step_idx = 0
     start = time.perf_counter()
@@ -220,9 +228,9 @@ def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
         max_step_violation = -math.inf
         counts_before = models.pass_counts()
         try:
-            for batch in batch_iter(train_ds, batch_size, combine_seed(config.seed, epoch)):
+            for batch in batch_iter(train_rows, batch_size, combine_seed(config.seed, epoch)):
                 preds, cache = model.forward_cache(theta, batch.features)
-                g = models.per_sample_loss(kind, preds, batch.targets)
+                g = models.per_sample_loss(kind, preds, batch.targets, batch.ids)
                 eps_b = spec.slice(batch.ids)
                 v = fs.violations(g, eps_b)
                 max_step_violation = max(max_step_violation, float(v.max()))
@@ -231,10 +239,9 @@ def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
                     if config.analytic_dual:
                         lam_new = fs.analytic_dual_opt(g, eps_b, config.alpha)
                     else:
-                        lam_new = fs.dual_step_rfl(mult.lam[batch.ids], v,
-                                                   config.eta_lambda, config.alpha)
+                        lam_new = fs.dual_step_rfl(mult.lam[batch.ids], v, config.eta_lambda,
+                                                   config.alpha, batch.ids)
                     mult.lam[batch.ids] = lam_new
-                    mult.last_update[batch.ids] = epoch
                     if lam_new.max() > config.blowup_threshold:
                         blown = batch.ids[lam_new > config.blowup_threshold]
                         raise NumericError(
@@ -253,22 +260,23 @@ def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
                 if config.cosine_decay:
                     lr *= 0.5 * (1.0 + math.cos(math.pi * step_idx / total_steps))
                 theta = optimizer.step(theta, grad, lr)
-                step_idx += 1
                 if not np.all(np.isfinite(theta)):
                     raise NumericError("parameters became non-finite after primal step")
+                step_idx += 1
         except NumericError as err:
-            status, abort_reason = "aborted", str(err)
+            abort_reason, abort = str(err), {"epoch": epoch, "step": step_idx, "ids": err.ids}
         counts_after = models.pass_counts()
         passes["forward"] += counts_after["forward"] - counts_before["forward"]
         passes["backward"] += counts_after["backward"] - counts_before["backward"]
-        if status != "completed":
+        if abort is not None:
             break
 
         try:
-            train_losses, train_acc = _eval_split(model, theta, train_ds, kind)
-            test_eval = _eval_split(model, theta, test_ds, kind) if test_ds is not None else None
+            train_losses, train_acc = _eval_split(model, theta, train_rows, kind)
+            test_eval = _eval_split(model, theta, test_rows, kind) if test_rows is not None else None
         except NumericError as err:
-            status, abort_reason = "aborted", f"epoch-end evaluation failed: {err}"
+            abort_reason = f"epoch-end evaluation failed: {err}"
+            abort = {"epoch": epoch, "step": step_idx, "ids": err.ids}
             break
         row = {
             "epoch": epoch,
@@ -294,9 +302,9 @@ def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
 
     final_train = final_test = None
     try:
-        final_train, _ = _eval_split(model, theta, train_ds, kind)
-        if test_ds is not None:
-            final_test, _ = _eval_split(model, theta, test_ds, kind)
+        final_train, _ = _eval_split(model, theta, train_rows, kind)
+        if test_rows is not None:
+            final_test, _ = _eval_split(model, theta, test_rows, kind)
     except NumericError:
         pass  # aborted runs keep whatever is computable
 
@@ -313,10 +321,11 @@ def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
         final_test_losses=final_test,
         multipliers=mult,
         params=models.ModelParams(theta=theta, descriptor=model.descriptor()),
-        status=status,
+        status="completed" if abort is None else "aborted",
         abort_reason=abort_reason,
         wall_clock_s=wall,
         train_pass_counts=passes,
+        abort=abort,
         metadata={
             "loss_kind": kind,
             "model": model.descriptor(),
@@ -331,8 +340,7 @@ def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
 def feasibility_report(model: models.Model, theta, dataset: Dataset, spec,
                        tol: float = 1e-8) -> dict:
     """Count satisfied constraints and name the violated ones at the current theta."""
-    kind = _loss_kind(dataset)
-    losses = models.per_sample_loss(kind, model.forward(theta, dataset.features), dataset.targets)
+    losses, _ = _eval_split(model, theta, _featurized(model, dataset), _loss_kind(dataset))
     v = fs.violations(losses, spec)
     violating = dataset.ids[v > tol]
     return {
@@ -357,17 +365,13 @@ def save_run(record: RunRecord, outdir) -> None:
         for row in record.trajectory:
             fh.write(",".join(str(int(row[c])) if c == "epoch" else _fmt(row[c])
                               for c in TRAJECTORY_COLUMNS) + "\n")
-    for split, losses in (("train", record.final_train_losses), ("test", record.final_test_losses)):
-        path = os.path.join(outdir, f"final_losses_{split}.csv")
-        with open(path, "w") as fh:
-            fh.write("id,loss\n")
-            if losses is not None:
-                for i, value in enumerate(losses):
-                    fh.write(f"{i},{_fmt(value)}\n")
-    with open(os.path.join(outdir, "multipliers.csv"), "w") as fh:
-        fh.write("id,lambda\n")
-        for i, value in enumerate(record.multipliers.lam):
-            fh.write(f"{i},{_fmt(value)}\n")
+    for name, column, values in (("final_losses_train.csv", "loss", record.final_train_losses),
+                                 ("final_losses_test.csv", "loss", record.final_test_losses),
+                                 ("multipliers.csv", "lambda", record.multipliers.lam)):
+        with open(os.path.join(outdir, name), "w") as fh:
+            fh.write(f"id,{column}\n")
+            for i, value in enumerate(values if values is not None else ()):
+                fh.write(f"{i},{_fmt(value)}\n")
     models.save_checkpoint(os.path.join(outdir, "checkpoint.bin"), record.params)
     with open(os.path.join(outdir, "status.txt"), "w") as fh:
         fh.write("completed\n" if record.status == "completed"
@@ -376,6 +380,7 @@ def save_run(record: RunRecord, outdir) -> None:
         json.dump({
             "status": record.status,
             "abort_reason": record.abort_reason,
+            "abort": record.abort,
             "wall_clock_s": record.wall_clock_s,
             "train_pass_counts": record.train_pass_counts,
             "metadata": record.metadata,

@@ -136,6 +136,21 @@ class TestRunExperiment:
     def test_missing_file_exits_two(self):
         assert cli.main(["run", "/nonexistent/config.json"]) == cli.EXIT_CONFIG
 
+    def test_invalid_trainer_value_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_tiny_config(tmp_path, seeds=(0,), eta_theta=-1.0)))
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+        assert "eta_theta must be positive" in capsys.readouterr().err
+
+    def test_label_beyond_output_width_exits_two(self, tmp_path, capsys):
+        # two_moons labels are 0 and 1; a one-output classifier cannot index label 1
+        cfg = _tiny_config(tmp_path, seeds=(0,))
+        cfg["model"]["layers"] = [2, 6, 1]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+        assert "output width 1" in capsys.readouterr().err
+
     def test_user_supplied_csv_dataset(self, tmp_path):
         from feaslearn import data
         ds = data.gen_noisy_cosine(24, 0.1, 0)

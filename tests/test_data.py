@@ -177,6 +177,16 @@ class TestDatasetContract:
             data.Dataset(features=np.array([[np.inf]]), targets=np.zeros(1),
                          ids=np.array([0]), task="regression")
 
+    def test_classification_targets_must_be_integral(self):
+        with pytest.raises(ParameterError, match="integer labels"):
+            data.Dataset(features=np.zeros((2, 1)), targets=np.array([0.0, 1.7]),
+                         ids=np.arange(2), task="classification")
+
+    def test_integral_float_labels_are_accepted(self):
+        ds = data.Dataset(features=np.zeros((2, 1)), targets=np.array([0.0, 1.0]),
+                          ids=np.arange(2), task="classification")
+        assert ds.targets.dtype == np.int64 and ds.targets.tolist() == [0, 1]
+
     def test_signature_changes_with_data(self):
         a = data.gen_noisy_cosine(10, 0.1, 0)
         b = data.gen_noisy_cosine(10, 0.1, 1)

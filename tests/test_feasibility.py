@@ -68,6 +68,12 @@ class TestDualSteps:
         with pytest.raises(NumericError):
             fs.dual_step_fl(np.array([1e308]), np.array([1e308]), 1e5)
 
+    def test_non_finite_update_names_given_ids(self):
+        with pytest.raises(NumericError, match=r"at \[7\]") as info:
+            fs.dual_step_rfl(np.array([0.0, 1e308]), np.array([0.0, 1e308]), 1e5, math.inf,
+                             np.array([3, 7]))
+        assert info.value.ids == [7]
+
     @settings(max_examples=40, deadline=None)
     @given(lam=nonneg_vec, seed=st.integers(0, 1000))
     def test_nonnegativity_after_any_step_sequence(self, lam, seed):
@@ -223,7 +229,6 @@ class TestBookkeepingTypes:
     def test_multiplier_state_starts_at_zero(self):
         state = fs.MultiplierState.zeros(4)
         assert np.all(state.lam == 0.0)
-        assert np.all(state.last_update == -1)
 
     def test_multiplier_state_rejects_negative(self):
         with pytest.raises(ParameterError):

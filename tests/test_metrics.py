@@ -42,8 +42,8 @@ class TestCvar:
         assert metrics.cvar([1.0, 2.0, 3.0, 4.0], 0.5) == pytest.approx(3.5)
 
     def test_zero_quantile_convention(self):
-        # quantile(0) is the minimum; the strict tail then excludes it
-        assert metrics.cvar([1.0, 2.0, 3.0, 4.0], 0.0) == pytest.approx(3.0)
+        # quantile(0) is the minimum, so CVaR(0) averages every loss
+        assert metrics.cvar([1.0, 2.0, 3.0, 4.0], 0.0) == pytest.approx(2.5)
 
     def test_ties_at_top_fall_back_to_max(self):
         assert metrics.cvar([2.0, 2.0, 2.0], 0.5) == pytest.approx(2.0)

@@ -132,8 +132,6 @@ class TestStepProtocol:
         cfg = TrainerConfig(method="fl", eta_theta=1e-4, eta_lambda=0.1, eps=0.0,
                             batch_size=4, epochs=1, primal_optimizer="sgd", seed=5)
         record = train(cfg, model, ds)
-        # every sample was visited exactly once in the single epoch
-        assert np.all(record.multipliers.last_update == 0)
         batches = list(data.batch_iter(ds, 4, data.combine_seed(5, 0)))
         first, second = batches[0].ids, batches[1].ids
         # second-batch multipliers reflect losses at the post-step theta;
@@ -316,3 +314,111 @@ class TestOptimizers:
                             primal_optimizer="sgd", seed=0)
         record = train(cfg, model, ds)
         assert record.status == "completed"
+
+
+class TestFeaturizeOnce:
+    """PolyModel is a Chebyshev feature map over LinearModel, expanded once per train()."""
+
+    DEGREE, DOMAIN = 5, (0.0, 1.0)
+    METHOD_KW = {
+        "erm": {},
+        "fl": {"eta_lambda": 0.5},
+        "rfl": {"eta_lambda": 0.5, "alpha": 1.0},
+        "cserm": {"alpha": 1.0},
+    }
+
+    def _splits(self):
+        full = data.gen_noisy_cosine(24, 0.2, 3)
+        return data.split_train_test(full, 0.25, 3)
+
+    def _expanded(self, ds):
+        phi = data.poly_features(ds.features[:, 0], self.DEGREE, "chebyshev", self.DOMAIN)
+        return data.Dataset(features=phi, targets=ds.targets, ids=ds.ids, task=ds.task)
+
+    @pytest.mark.parametrize("batch_size", [None, 5])
+    @pytest.mark.parametrize("method", ["erm", "fl", "rfl", "cserm"])
+    def test_poly_matches_linear_on_expanded_features_bitwise(self, method, batch_size):
+        train_ds, test_ds = self._splits()
+        cfg = TrainerConfig(method=method, eta_theta=5e-3, eps=0.05, batch_size=batch_size,
+                            epochs=15, primal_optimizer="sgd", seed=2,
+                            **self.METHOD_KW[method])
+        poly = train(cfg, models.PolyModel(self.DEGREE, "chebyshev", self.DOMAIN),
+                     train_ds, test_ds)
+        lin = train(cfg, models.LinearModel(self.DEGREE + 1),
+                    self._expanded(train_ds), self._expanded(test_ds))
+        assert poly.status == lin.status == "completed"
+        assert poly.trajectory == lin.trajectory
+        assert np.array_equal(poly.params.theta, lin.params.theta)
+        assert np.array_equal(poly.multipliers.lam, lin.multipliers.lam)
+        assert np.array_equal(poly.final_test_losses, lin.final_test_losses)
+
+    def test_poly_features_calls_do_not_grow_with_epochs(self, monkeypatch):
+        train_ds, test_ds = self._splits()
+        calls = []
+        original = data.poly_features
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(data, "poly_features", counting)
+        counts = []
+        for epochs in (1, 20):
+            calls.clear()
+            cfg = TrainerConfig(method="rfl", alpha=1.0, eta_theta=5e-3, eta_lambda=0.5,
+                                eps=0.05, batch_size=5, epochs=epochs, seed=0)
+            train(cfg, models.PolyModel(self.DEGREE, "chebyshev", self.DOMAIN),
+                  train_ds, test_ds)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == 2
+
+    def test_featurize_is_identity_without_copy(self):
+        X = np.zeros((3, 2))
+        assert models.LinearModel(2).featurize(X) is X
+        assert models.MLP((2, 3, 2)).featurize(X) is X
+
+    def test_overflowing_expansion_aborts_instead_of_raising(self):
+        ds = data.Dataset(features=np.array([[0.5], [1e200], [0.2]]), targets=np.ones(3),
+                          ids=np.array([2, 0, 1]), task=data.REGRESSION)
+        cfg = TrainerConfig(method="erm", eta_theta=1.0, epochs=3, seed=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            record = train(cfg, models.PolyModel(3, "chebyshev", self.DOMAIN), ds)
+        assert record.status == "aborted"
+        assert record.abort_reason == "non-finite predictions for samples [0]"
+        assert record.abort == {"epoch": 0, "step": 0, "ids": [0]}
+
+
+class TestAbortNamesDatasetIds:
+    def test_batch_abort_reports_dataset_ids_and_persists_them(self, tmp_path):
+        # id 5 pushes theta to ~1e200 in the first batch; the second batch,
+        # ids [6, 1], then overflows its squared errors
+        x = np.ones((8, 1))
+        x[5, 0] = 1e200
+        ds = data.Dataset(features=x, targets=np.ones(8), ids=np.arange(8),
+                          task=data.REGRESSION)
+        assert [b.ids.tolist() for b in data.batch_iter(ds, 2, data.combine_seed(0, 0))][:2] \
+            == [[5, 0], [6, 1]]
+        cfg = TrainerConfig(method="erm", eta_theta=1.0, batch_size=2, epochs=3, seed=0)
+        with np.errstate(over="ignore"):
+            record = train(cfg, models.LinearModel(1), ds)
+        assert record.abort_reason == "non-finite losses for samples [6, 1]"
+        assert record.abort == {"epoch": 0, "step": 1, "ids": [6, 1]}
+        trainers.save_run(record, tmp_path / "r")
+        back = trainers.load_run(tmp_path / "r")
+        assert back.meta["abort"] == {"epoch": 0, "step": 1, "ids": [6, 1]}
+
+    def test_completed_run_persists_no_abort(self, tmp_path):
+        cfg = TrainerConfig(method="erm", eta_theta=0.1, epochs=2, seed=0)
+        record = train(cfg, models.LinearModel(1), _line_dataset())
+        trainers.save_run(record, tmp_path / "r")
+        assert record.abort is None
+        assert trainers.load_run(tmp_path / "r").meta["abort"] is None
+
+
+class TestLabelRange:
+    def test_label_beyond_output_width_is_a_parameter_error(self):
+        ds = data.Dataset(features=np.zeros((4, 2)), targets=[0, 1, 2, 1], ids=np.arange(4),
+                          task=data.CLASSIFICATION)
+        cfg = TrainerConfig(method="erm", eta_theta=0.1, epochs=1, seed=0)
+        with pytest.raises(ParameterError, match=r"samples \[2\]"):
+            train(cfg, models.MLP((2, 3, 2)), ds)
