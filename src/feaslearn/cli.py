@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -58,6 +59,9 @@ TRAINER_DEFAULTS = {
     "analytic_dual": False,
 }
 
+# Every TrainerConfig field but seed, which each run takes from "seeds".
+_TRAINER_KEYS = {f.name for f in dataclasses.fields(tr.TrainerConfig)} - {"seed"}
+
 
 def _fail(path: str, message: str):
     raise ConfigError(f"config field '{path}': {message}")
@@ -86,6 +90,11 @@ def load_config(source) -> dict:
 
     if "dataset" not in merged:
         _fail("dataset", "required")
+    if "seed" in merged["trainer"]:
+        _fail("trainer.seed", "not allowed; the run seeds come from 'seeds'")
+    unknown = sorted(set(merged["trainer"]) - _TRAINER_KEYS)
+    if unknown:
+        _fail(f"trainer.{unknown[0]}", "unknown trainer field")
     if "method" not in merged["trainer"]:
         _fail("trainer.method", "required")
     if merged["trainer"]["method"] not in tr.METHODS:

@@ -246,24 +246,42 @@ def combine_seed(run_seed: int, epoch: int) -> int:
     return (run_seed << 32) | (epoch & 0xFFFFFFFF)
 
 
-def epoch_rng(epoch_seed: int) -> np.random.Generator:
-    # Philox is counter-based: the key alone determines the stream, so the
-    # shuffle is reproducible under any thread count.
+def epoch_rng(epoch_seed: int, rng: np.random.Generator | None = None) -> np.random.Generator:
+    """Philox generator keyed by the two low 64-bit words of ``epoch_seed``.
+
+    Philox is counter-based: the key alone determines the stream, so the
+    shuffle is reproducible under any thread count. Passing ``rng`` (one
+    returned by an earlier call) re-keys it in place, which gives the same
+    stream as a new generator at a fraction of the cost of building one.
+    """
+    if rng is None:
+        # A fixed seed spares the OS-entropy read; the key set below replaces it.
+        rng = np.random.Generator(np.random.Philox(0))
     key = np.array([epoch_seed & 0xFFFFFFFFFFFFFFFF, (epoch_seed >> 64) & 0xFFFFFFFFFFFFFFFF],
                    dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
-def batch_iter(dataset: Dataset | Batch, batch_size: int, epoch_seed: int) -> Iterator[Batch]:
+def batch_iter(dataset: Dataset | Batch, batch_size: int, epoch_seed: int,
+               rng: np.random.Generator | None = None) -> Iterator[Batch]:
     """Shuffled partition of the dataset into batches, without replacement.
 
     The union of batches over one epoch is exactly the full id set; the last
-    batch may be smaller.
+    batch may be smaller. The order depends on ``epoch_seed`` alone; ``rng``
+    is a generator from :func:`epoch_rng` to re-key instead of building one.
     """
     n = len(dataset.ids)
     if batch_size < 1 or batch_size > n:
         raise ParameterError(f"batch_size must lie in 1..{n}")
-    perm = epoch_rng(epoch_seed).permutation(n)
+    perm = epoch_rng(epoch_seed, rng).permutation(n)
     for start in range(0, n, batch_size):
         rows = perm[start:start + batch_size]
         yield Batch(ids=dataset.ids[rows], features=dataset.features[rows], targets=dataset.targets[rows])

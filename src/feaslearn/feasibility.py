@@ -19,9 +19,6 @@ import numpy as np
 
 from .errors import NumericError, ParameterError, ShapeError, named_rows
 
-FL = "fl"
-RFL = "rfl"
-
 # Multipliers past this are treated as dual blow-up (unsatisfiable
 # constraints under pure ascent); trainers abort with the offending ids.
 BLOWUP_THRESHOLD = 1e12
@@ -68,25 +65,6 @@ class MultiplierState:
     @classmethod
     def zeros(cls, n: int) -> "MultiplierState":
         return cls(lam=np.zeros(n))
-
-    def blown_up_ids(self, threshold: float = BLOWUP_THRESHOLD) -> np.ndarray:
-        return np.nonzero(~np.isfinite(self.lam) | (self.lam > threshold))[0]
-
-
-@dataclass
-class ResilienceConfig:
-    """Mode switch between hard constraints (fl) and slack-relaxed ones (rfl)."""
-
-    mode: str
-    alpha: float = math.inf
-
-    def __post_init__(self):
-        if self.mode not in (FL, RFL):
-            raise ParameterError(f"mode must be '{FL}' or '{RFL}'")
-        if self.mode == FL:
-            self.alpha = math.inf
-        elif not (self.alpha > 0 and math.isfinite(self.alpha)):
-            raise ParameterError("rfl mode needs a finite positive alpha")
 
 
 @dataclass

@@ -2,27 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy import stats
 
 from .errors import ParameterError
-
-
-@dataclass
-class LossDistribution:
-    """Losses sorted ascending, keeping the original sample ids alongside."""
-
-    losses: np.ndarray
-    ids: np.ndarray
-
-    @classmethod
-    def from_losses(cls, losses, ids=None) -> "LossDistribution":
-        losses = np.asarray(losses, dtype=np.float64)
-        ids = np.arange(len(losses)) if ids is None else np.asarray(ids, dtype=np.int64)
-        order = np.argsort(losses, kind="stable")
-        return cls(losses=losses[order], ids=ids[order])
 
 
 def empirical_cdf(losses) -> list[tuple[float, float]]:
@@ -96,6 +78,8 @@ def margin_multiplier_correlation(lam, margins) -> tuple[float, bool]:
         raise ParameterError("multipliers and margins must have equal length")
     if np.all(lam == lam[0]) or np.all(margins == margins[0]):
         return 0.0, True
+    from scipy import stats  # only classification fl/rfl runs need it; it is slow to import
+
     rho = stats.spearmanr(lam, -margins).statistic
     if not np.isfinite(rho):
         return 0.0, True

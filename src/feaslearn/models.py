@@ -196,20 +196,20 @@ class MLP(Model):
             raise ShapeError(f"expected input width {self.layers[0]}, got shape {X.shape}")
         weights, biases = self._unpack(theta)
         activations = [X]
-        pre_acts = []
         a = X
         for i, (W, b) in enumerate(zip(weights, biases)):
-            z = a @ W.T + b
-            pre_acts.append(z)
-            a = np.maximum(z, 0.0) if i < len(weights) - 1 else z
+            a = a @ W.T  # a new array, so the in-place steps never touch X
+            a += b
+            if i < len(weights) - 1:
+                np.maximum(a, 0.0, out=a)
             activations.append(a)
         _PASS_COUNTS["forward"] += 1
         out = activations[-1]
         preds = out[:, 0] if self.task == _data.REGRESSION else out
-        return preds, (weights, activations, pre_acts)
+        return preds, (weights, activations)
 
     def backward(self, cache, grad_pred):
-        weights, activations, pre_acts = cache
+        weights, activations = cache
         G = np.asarray(grad_pred, dtype=np.float64)
         if G.ndim == 1:
             G = G[:, None]
@@ -220,7 +220,9 @@ class MLP(Model):
             grads_w[i] = delta.T @ activations[i]
             grads_b[i] = delta.sum(axis=0)
             if i > 0:
-                delta = (delta @ weights[i]) * (pre_acts[i - 1] > 0.0)
+                # relu(z) > 0 exactly where z > 0, so the activation gives the mask.
+                delta = delta @ weights[i]
+                delta *= activations[i] > 0.0
         _PASS_COUNTS["backward"] += 1
         return np.concatenate([np.concatenate([w.ravel(), b]) for w, b in zip(grads_w, grads_b)])
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import feasibility as fs
 from . import models
-from .data import CLASSIFICATION, Batch, Dataset, batch_iter, combine_seed
+from .data import CLASSIFICATION, Batch, Dataset, batch_iter, combine_seed, epoch_rng
 from .errors import NumericError, ParameterError
 
 ERM = "erm"
@@ -184,7 +184,7 @@ def _eval_split(model, theta, rows: Batch, kind):
     preds, _ = model.forward_cache(theta, rows.features)
     losses = models.per_sample_loss(kind, preds, rows.targets, rows.ids)
     if kind == models.CROSS_ENTROPY:
-        return losses, float(np.mean(preds.argmax(axis=1) == rows.targets))
+        return losses, np.count_nonzero(preds.argmax(axis=1) == rows.targets) / len(losses)
     return losses, math.nan
 
 
@@ -217,6 +217,7 @@ def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
     total_steps = max(config.epochs * steps_per_epoch, 1)
     train_rows = _featurized(model, train_ds)
     test_rows = _featurized(model, test_ds) if test_ds is not None else None
+    shuffle_rng = epoch_rng(combine_seed(config.seed, 0))  # batch_iter re-keys it every epoch
 
     trajectory: list[dict] = []
     abort_reason = abort = None
@@ -228,7 +229,8 @@ def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
         max_step_violation = -math.inf
         counts_before = models.pass_counts()
         try:
-            for batch in batch_iter(train_rows, batch_size, combine_seed(config.seed, epoch)):
+            epoch_seed = combine_seed(config.seed, epoch)
+            for batch in batch_iter(train_rows, batch_size, epoch_seed, shuffle_rng):
                 preds, cache = model.forward_cache(theta, batch.features)
                 g = models.per_sample_loss(kind, preds, batch.targets, batch.ids)
                 eps_b = spec.slice(batch.ids)
@@ -278,24 +280,26 @@ def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
             abort_reason = f"epoch-end evaluation failed: {err}"
             abort = {"epoch": epoch, "step": step_idx, "ids": err.ids}
             break
+        # sum / n and count / n are the IEEE operations np.mean performs, so
+        # they give its bits without its per-call overhead.
         row = {
             "epoch": epoch,
-            "train_mean_loss": float(train_losses.mean()),
+            "train_mean_loss": float(train_losses.sum()) / n,
             "train_max_loss": float(train_losses.max()),
             "train_accuracy": train_acc,
-            "sat_fraction": float(np.mean(train_losses <= spec.values + config.sat_tol)),
+            "sat_fraction": np.count_nonzero(train_losses <= spec.values + config.sat_tol) / n,
             "max_step_violation": max_step_violation,
             "lam_min": float(mult.lam.min()),
-            "lam_mean": float(mult.lam.mean()),
+            "lam_mean": float(mult.lam.sum()) / n,
             "lam_max": float(mult.lam.max()),
-            "lam_frac_zero": float(np.mean(mult.lam <= 1e-12)),
+            "lam_frac_zero": np.count_nonzero(mult.lam <= 1e-12) / n,
             "test_mean_loss": math.nan,
             "test_max_loss": math.nan,
             "test_accuracy": math.nan,
         }
         if test_eval is not None:
             test_losses, test_acc = test_eval
-            row["test_mean_loss"] = float(test_losses.mean())
+            row["test_mean_loss"] = float(test_losses.sum()) / len(test_losses)
             row["test_max_loss"] = float(test_losses.max())
             row["test_accuracy"] = test_acc
         trajectory.append(row)
@@ -350,33 +354,35 @@ def feasibility_report(model: models.Model, theta, dataset: Dataset, spec,
     }
 
 
-def _fmt(value) -> str:
-    return repr(float(value))
-
-
 def save_run(record: RunRecord, outdir) -> None:
-    """Persist a run directory; see the README for the file contract."""
+    """Persist a run directory; see the README for the file contract.
+
+    The two files that carry the status, ``meta.json`` and ``status.txt``,
+    are removed first and written last, so a directory whose writing failed
+    part-way never reads as completed, even one that held an earlier run.
+    """
     os.makedirs(outdir, exist_ok=True)
+    meta_path, status_path = os.path.join(outdir, "meta.json"), os.path.join(outdir, "status.txt")
+    for path in (status_path, meta_path):
+        if os.path.exists(path):
+            os.remove(path)
     with open(os.path.join(outdir, "config.json"), "w") as fh:
         json.dump(record.config, fh, indent=2, sort_keys=True)
         fh.write("\n")
     with open(os.path.join(outdir, "trajectory.csv"), "w") as fh:
         fh.write(",".join(TRAJECTORY_COLUMNS) + "\n")
+        stats = TRAJECTORY_COLUMNS[1:]
         for row in record.trajectory:
-            fh.write(",".join(str(int(row[c])) if c == "epoch" else _fmt(row[c])
-                              for c in TRAJECTORY_COLUMNS) + "\n")
+            fh.write(",".join([str(int(row["epoch"]))] + [repr(float(row[c])) for c in stats]) + "\n")
     for name, column, values in (("final_losses_train.csv", "loss", record.final_train_losses),
                                  ("final_losses_test.csv", "loss", record.final_test_losses),
                                  ("multipliers.csv", "lambda", record.multipliers.lam)):
         with open(os.path.join(outdir, name), "w") as fh:
             fh.write(f"id,{column}\n")
             for i, value in enumerate(values if values is not None else ()):
-                fh.write(f"{i},{_fmt(value)}\n")
+                fh.write(f"{i},{float(value)!r}\n")
     models.save_checkpoint(os.path.join(outdir, "checkpoint.bin"), record.params)
-    with open(os.path.join(outdir, "status.txt"), "w") as fh:
-        fh.write("completed\n" if record.status == "completed"
-                 else f"aborted: {record.abort_reason}\n")
-    with open(os.path.join(outdir, "meta.json"), "w") as fh:
+    with open(meta_path, "w") as fh:
         json.dump({
             "status": record.status,
             "abort_reason": record.abort_reason,
@@ -386,6 +392,9 @@ def save_run(record: RunRecord, outdir) -> None:
             "metadata": record.metadata,
         }, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    with open(status_path, "w") as fh:
+        fh.write("completed\n" if record.status == "completed"
+                 else f"aborted: {record.abort_reason}\n")
 
 
 def _read_loss_csv(path) -> np.ndarray | None:

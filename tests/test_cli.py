@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -141,6 +143,14 @@ class TestRunExperiment:
         path.write_text(json.dumps(_tiny_config(tmp_path, seeds=(0,), eta_theta=-1.0)))
         assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
         assert "eta_theta must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [("lr", 0.1), ("seed", 3)])
+    def test_bad_trainer_key_exits_two(self, tmp_path, capsys, key, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_tiny_config(tmp_path, seeds=(0,), **{key: value})))
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+        assert f"'trainer.{key}'" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "tiny_fl")
 
     def test_label_beyond_output_width_exits_two(self, tmp_path, capsys):
         # two_moons labels are 0 and 1; a one-output classifier cannot index label 1
@@ -286,3 +296,10 @@ class TestGenConfig:
         cfg["output_dir"] = str(tmp_path / "cp_run")
         summary = cli.run_experiment(cfg)
         assert not summary["any_aborted"]
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    code = "import sys, feaslearn.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "False"

@@ -153,6 +153,48 @@ class TestBatchIter:
         assert sorted(ids.tolist()) == list(range(n))
 
 
+class TestEpochRng:
+    SEEDS = [0, data.combine_seed(2**31 - 1, 2**32 - 1), 2**64 + 12345, 2**100 + 7]
+
+    @staticmethod
+    def _fresh_philox(seed):
+        # A new generator per key: the reference the in-place re-keying must match.
+        key = np.array([seed & (2**64 - 1), (seed >> 64) & (2**64 - 1)], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
+
+    @staticmethod
+    def _state(rng):
+        st = rng.bit_generator.state
+        return (st["state"]["counter"].tolist(), st["state"]["key"].tolist(), st["buffer"].tolist(),
+                st["buffer_pos"], st["has_uint32"], st["uinteger"])
+
+    @staticmethod
+    def _draws(rng):
+        return (rng.bit_generator.random_raw(3), rng.permutation(37), rng.random(5),
+                rng.integers(0, 2**40, size=3))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_rekeyed_stream_matches_fresh_generator(self, seed):
+        reused = data.epoch_rng(99)
+        self._draws(reused)  # leave the counter and buffer mid-stream
+        rekeyed = data.epoch_rng(seed, reused)
+        assert rekeyed is reused
+        for rng in (rekeyed, data.epoch_rng(seed)):
+            fresh = self._fresh_philox(seed)
+            assert self._state(rng) == self._state(fresh)
+            for got, want in zip(self._draws(rng), self._draws(fresh)):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_batch_iter_order_is_independent_of_the_generator_passed(self, seed):
+        ds = data.gen_noisy_cosine(11, 0.1, 0)
+        rng = data.epoch_rng(5)
+        rng.random(3)
+        fresh = [b.ids.tolist() for b in data.batch_iter(ds, 4, seed)]
+        reused = [b.ids.tolist() for b in data.batch_iter(ds, 4, seed, rng)]
+        assert reused == fresh
+
+
 class TestGeneratorPurity:
     @pytest.mark.parametrize("gen,args", [
         (data.gen_two_moons, (100, 0.1, 3)),

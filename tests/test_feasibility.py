@@ -233,15 +233,3 @@ class TestBookkeepingTypes:
     def test_multiplier_state_rejects_negative(self):
         with pytest.raises(ParameterError):
             fs.MultiplierState(np.array([-0.1]))
-
-    def test_blowup_detection(self):
-        state = fs.MultiplierState(np.array([0.0, 2e12, 1.0]))
-        assert state.blown_up_ids().tolist() == [1]
-
-    def test_resilience_config_modes(self):
-        assert math.isinf(fs.ResilienceConfig("fl").alpha)
-        assert fs.ResilienceConfig("rfl", 2.0).alpha == 2.0
-        with pytest.raises(ParameterError):
-            fs.ResilienceConfig("rfl", math.inf)
-        with pytest.raises(ParameterError):
-            fs.ResilienceConfig("soft")

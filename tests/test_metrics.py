@@ -148,15 +148,3 @@ class TestMarginCorrelation:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ParameterError):
             metrics.margin_multiplier_correlation(np.zeros(3), np.zeros(4))
-
-
-class TestLossDistribution:
-    def test_sorted_with_ids(self):
-        dist = metrics.LossDistribution.from_losses([3.0, 1.0, 2.0], ids=[10, 11, 12])
-        assert dist.losses.tolist() == [1.0, 2.0, 3.0]
-        assert dist.ids.tolist() == [11, 12, 10]
-
-    def test_preserves_multiset(self):
-        losses = np.array([5.0, 1.0, 5.0, 0.0])
-        dist = metrics.LossDistribution.from_losses(losses)
-        assert sorted(dist.losses.tolist()) == sorted(losses.tolist())

@@ -88,6 +88,44 @@ class TestPerSampleLoss:
         assert loss[0] == pytest.approx(0.0, abs=1e-12)
 
 
+def _reference_mlp(model, theta, X, G):
+    """The MLP's forward and backward written with fresh arrays and pre-activation masks."""
+    weights, biases = model._unpack(theta)
+    activations, pre_acts, a = [X], [], X
+    for i, (W, b) in enumerate(zip(weights, biases)):
+        z = a @ W.T + b
+        pre_acts.append(z)
+        a = np.maximum(z, 0.0) if i < len(weights) - 1 else z
+        activations.append(a)
+    delta = G if G.ndim == 2 else G[:, None]
+    grads = []
+    for i in range(len(weights) - 1, -1, -1):
+        grads = [(delta.T @ activations[i]).ravel(), delta.sum(axis=0)] + grads
+        if i > 0:
+            delta = (delta @ weights[i]) * (pre_acts[i - 1] > 0.0)
+    return activations[-1], np.concatenate(grads)
+
+
+class TestMlpInPlaceLayers:
+    @pytest.mark.parametrize("layers,task", [((2, 70, 70, 2), "classification"),
+                                             ((3, 9, 1), "regression")])
+    @pytest.mark.parametrize("n", [1, 2, 7, 512, 1000])
+    def test_bitwise_equal_to_reference_and_inputs_untouched(self, layers, task, n):
+        rng = np.random.default_rng(n)
+        model = models.MLP(layers, task)
+        theta = rng.normal(size=model.n_params)
+        X = rng.normal(size=(n, layers[0]))
+        G = rng.normal(size=(n, layers[-1])) if task == "classification" else rng.normal(size=n)
+        X_before, G_before, theta_before = X.copy(), G.copy(), theta.copy()
+        preds, cache = model.forward_cache(theta, X)
+        grad = model.backward(cache, G)
+        want_out, want_grad = _reference_mlp(model, theta, X, G)
+        assert np.array_equal(preds, want_out if task == "classification" else want_out[:, 0])
+        assert np.array_equal(grad, want_grad)
+        for after, before in ((X, X_before), (G, G_before), (theta, theta_before)):
+            assert np.array_equal(after, before)
+
+
 def _random_batch(model, rng, kind):
     n = 6
     if kind == models.CROSS_ENTROPY:

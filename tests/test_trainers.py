@@ -147,6 +147,52 @@ class TestStepProtocol:
         assert np.array_equal(record.multipliers.lam[second], lam_b2)
         assert np.array_equal(record.multipliers.lam[first], lam_b1)
 
+    def test_interleaved_runs_match_sequential_runs(self, monkeypatch):
+        # Each train() call owns its shuffle generator: a whole run started in
+        # the middle of another's epoch changes neither record.
+        ds = data.gen_noisy_cosine(12, 0.1, 0)
+        cfg_a = TrainerConfig(method="fl", eta_theta=0.05, eta_lambda=0.2, eps=0.05,
+                              batch_size=5, epochs=4, seed=3)
+        cfg_b = TrainerConfig(method="rfl", alpha=2.0, eta_theta=0.05, eta_lambda=0.2,
+                              eps=0.05, batch_size=4, epochs=3, seed=8)
+        model = models.PolyModel(4, "chebyshev", (0.0, 1.0))
+        sequential = [train(cfg_a, model, ds), train(cfg_b, model, ds)]
+        nested = []
+        real_batch_iter = trainers.batch_iter
+
+        def batch_iter_running_b(rows, batch_size, epoch_seed, rng=None):
+            for i, batch in enumerate(real_batch_iter(rows, batch_size, epoch_seed, rng)):
+                if epoch_seed == data.combine_seed(cfg_a.seed, 2) and i == 1:
+                    nested.append(train(cfg_b, model, ds))
+                yield batch
+
+        monkeypatch.setattr(trainers, "batch_iter", batch_iter_running_b)
+        interleaved = [train(cfg_a, model, ds), *nested]
+        assert len(nested) == 1
+        for seq, inter in zip(sequential, interleaved):
+            assert inter.trajectory == seq.trajectory
+            assert np.array_equal(inter.params.theta, seq.params.theta)
+            assert np.array_equal(inter.multipliers.lam, seq.multipliers.lam)
+
+    @pytest.mark.parametrize("n", [37, 601])
+    def test_epoch_statistics_equal_np_mean_bitwise(self, n):
+        # The last row is evaluated at the final theta and multipliers.
+        ds = data.gen_two_moons(2 * n, 0.2, 0)
+        train_ds, test_ds = data.split_train_test(ds, 0.5, 1)
+        model = models.MLP((2, 8, 2))
+        cfg = TrainerConfig(method="fl", eta_theta=0.05, eta_lambda=0.3, eps=0.3,
+                            batch_size=5, epochs=3, primal_optimizer="adamw", seed=2)
+        record = train(cfg, model, train_ds, test_ds)
+        last, lam = record.trajectory[-1], record.multipliers.lam
+        logits = model.forward(record.params.theta, train_ds.features)
+        assert 0 < last["lam_frac_zero"] < 1
+        assert last["train_mean_loss"] == float(np.mean(record.final_train_losses))
+        assert last["test_mean_loss"] == float(np.mean(record.final_test_losses))
+        assert last["sat_fraction"] == float(np.mean(record.final_train_losses <= 0.3 + cfg.sat_tol))
+        assert last["lam_mean"] == float(np.mean(lam))
+        assert last["lam_frac_zero"] == float(np.mean(lam <= 1e-12))
+        assert last["train_accuracy"] == float(np.mean(logits.argmax(axis=1) == train_ds.targets))
+
     def test_determinism_bitwise(self):
         ds = data.gen_two_moons(40, 0.1, 0)
         model = models.MLP((2, 6, 2))
@@ -273,7 +319,27 @@ class TestRunRecordPersistence:
         assert np.array_equal(back.multipliers, record.multipliers.lam)
         assert np.array_equal(back.params.theta, record.params.theta)
         assert len(back.trajectory["epoch"]) == 3
+        for column in trainers.TRAJECTORY_COLUMNS:
+            assert np.array_equal(back.trajectory[column],
+                                  [row[column] for row in record.trajectory]), column
         assert back.config["dataset_signature"]["train"] == ds.signature()
+
+    @pytest.mark.parametrize("breaks", ["meta", "trajectory"])
+    def test_failed_rewrite_never_reads_completed(self, tmp_path, breaks):
+        cfg = TrainerConfig(method="erm", eta_theta=0.1, epochs=2, seed=0)
+        record = train(cfg, models.LinearModel(1), _line_dataset())
+        outdir = tmp_path / "r"
+        trainers.save_run(record, outdir)
+        assert (outdir / "status.txt").read_text() == "completed\n"
+        if breaks == "meta":
+            record.metadata["unserializable"] = object()
+        else:
+            record.trajectory[-1]["lam_max"] = "not a number"
+        with pytest.raises((TypeError, ValueError)):
+            trainers.save_run(record, outdir)
+        assert not (outdir / "status.txt").exists()
+        meta = (outdir / "meta.json").read_text() if (outdir / "meta.json").exists() else ""
+        assert '"status": "completed"' not in meta
 
     def test_zero_epochs_emit_initial_state(self, tmp_path):
         ds = _line_dataset()
