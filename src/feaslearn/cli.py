@@ -82,6 +82,9 @@ def load_config(source) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
 
+    for key in ("dataset", "model", "split", "metrics", "trainer"):
+        if key in cfg and not isinstance(cfg[key], dict):
+            _fail(key, "must be a JSON object")
     merged = copy.deepcopy(CONFIG_DEFAULTS)
     merged.update(cfg)
     merged["split"] = {**CONFIG_DEFAULTS["split"], **cfg.get("split", {})}
@@ -102,6 +105,9 @@ def load_config(source) -> dict:
     seeds = merged["seeds"]
     if not isinstance(seeds, list) or not seeds or any(not isinstance(s, int) or s < 0 for s in seeds):
         _fail("seeds", "must be a non-empty list of non-negative integers")
+    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+    if repeated:
+        _fail("seeds", f"repeated seeds {repeated}")
     quantiles = merged["metrics"]["quantiles"]
     if any(not 0.0 <= q < 1.0 for q in quantiles):
         _fail("metrics.quantiles", "quantiles must lie in [0, 1)")
@@ -147,7 +153,10 @@ def build_dataset(cfg: dict, run_seed: int) -> tuple[dt.Dataset, dt.Dataset | No
         return full, None
     split_seed = cfg["split"]["seed"]
     split_seed = run_seed if split_seed is None else split_seed
-    return dt.split_train_test(full, frac, split_seed)
+    try:
+        return dt.split_train_test(full, frac, split_seed)
+    except ParameterError as err:
+        _fail("split.test_fraction", str(err))
 
 
 def build_model(cfg: dict, dataset: dt.Dataset) -> md.Model:

@@ -105,12 +105,15 @@ def _take(dataset: Dataset, rows: np.ndarray) -> Dataset:
 
 
 def split_train_test(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Random split; both halves get fresh contiguous ids."""
+    """Random split; both halves get fresh contiguous ids and neither is empty."""
     if not 0.0 <= test_fraction < 1.0:
         raise ParameterError("test_fraction must lie in [0, 1)")
+    n_test = int(round(test_fraction * dataset.n_samples))
+    if not 0 < n_test < dataset.n_samples:
+        raise ParameterError(f"test_fraction {test_fraction} of {dataset.n_samples} samples "
+                             f"leaves {n_test} test and {dataset.n_samples - n_test} train samples")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(dataset.n_samples)
-    n_test = int(round(test_fraction * dataset.n_samples))
     return _take(dataset, np.sort(perm[n_test:])), _take(dataset, np.sort(perm[:n_test]))
 
 

@@ -127,14 +127,20 @@ def lagrangian_alpha(g, spec, lam, alpha: float) -> float:
     return lagrangian_fl(g, spec, lam) - float(lam @ lam) / (2.0 * alpha)
 
 
-def lagrangian_rfl_slack(g, spec, u, lam, alpha: float) -> float:
-    """Slack-form value (alpha/2)||u||^2 + lam^T (g - eps - u)."""
+def lagrangian_rfl_slack(g, spec, u, lam, alpha: float) -> float | np.ndarray:
+    """Slack-form value (alpha/2)||u||^2 + lam^T (g - eps - u).
+
+    ``u`` may be a stack of slack vectors, shape (..., n): the result then
+    holds one value per row, each bit-equal to this function called on that
+    row alone (every row is one BLAS dot product). A 1-D ``u`` gives a float.
+    """
     if alpha <= 0:
         raise ParameterError("alpha must be positive")
     u = np.asarray(u, dtype=np.float64)
     lam = np.asarray(lam, dtype=np.float64)
     v = violations(g, spec)
-    return 0.5 * alpha * float(u @ u) + float(lam @ (v - u))
+    value = 0.5 * alpha * np.vecdot(u, u) + np.vecdot(v - u, lam)
+    return float(value) if u.ndim == 1 else value
 
 
 def analytic_dual_opt(g, spec, alpha: float) -> np.ndarray:

@@ -85,7 +85,7 @@ def check_cserm_identity(model_family: str = "all", n_trials: int = 1000,
         raise ParameterError("tol must be positive")
     families = DEFAULT_FAMILIES if model_family == "all" else (model_family,)
     rng = np.random.default_rng(seed)
-    max_disc = 0.0
+    discs = []
     failures = []
     for trial in range(n_trials):
         family = families[trial % len(families)]
@@ -100,12 +100,12 @@ def check_cserm_identity(model_family: str = "all", n_trials: int = 1000,
         lhs = fs.lagrangian_alpha(g, eps, lam_star, alpha)
         rhs = fs.cserm_objective(g, eps, alpha)
         disc = abs(lhs - rhs)
-        max_disc = max(max_disc, disc)
-        if disc > tol:
+        discs.append(disc)
+        if not disc <= tol:  # a NaN discrepancy fails too
             failures.append({"trial": trial, "family": family, "alpha": alpha,
                              "discrepancy": disc})
     return {"check": "cserm_identity", "passed": not failures, "n_trials": n_trials,
-            "tol": tol, "max_discrepancy": max_disc, "failures": failures}
+            "tol": tol, "max_discrepancy": float(np.max(discs, initial=0.0)), "failures": failures}
 
 
 def check_slack_inner_min(g, eps, alpha: float, n_perturbations: int = 100,
@@ -131,26 +131,26 @@ def check_slack_inner_min(g, eps, alpha: float, n_perturbations: int = 100,
         lam_draws = [rng.uniform(0.0, 2.0, size=g.shape) for _ in range(5)]
     lam_draws.append(lam_star)
 
-    worst_gap = -math.inf
-    worst_identity = 0.0
+    gaps, identities = [], []
+    n = g.size
     for lam_vec in lam_draws:
         u_opt = fs.slack_view(lam_vec, alpha).u
         base = fs.lagrangian_rfl_slack(g, eps, u_opt, lam_vec, alpha)
-        worst_identity = max(worst_identity, abs(base - fs.lagrangian_alpha(g, eps, lam_vec, alpha)))
+        identities.append(abs(base - fs.lagrangian_alpha(g, eps, lam_vec, alpha)))
         # Coordinate grids: the slack-form value is separable in u, so
-        # sweeping one coordinate at a time probes the full minimum.
+        # sweeping one coordinate at a time probes the full minimum. Row
+        # (j, k) is u_opt with coordinate j set to grid[k].
         grid = np.linspace(0.0, max(1.0, float(u_opt.max()) * 2.0), 21)
-        for j in range(g.size):
-            u_try = np.repeat(u_opt[None, :], grid.size, axis=0)
-            u_try[:, j] = grid
-            for row in u_try:
-                worst_gap = max(worst_gap, base - fs.lagrangian_rfl_slack(g, eps, row, lam_vec, alpha))
-        for _ in range(n_perturbations):
-            u_try = np.maximum(u_opt + rng.normal(scale=0.5, size=g.shape), 0.0)
-            worst_gap = max(worst_gap, base - fs.lagrangian_rfl_slack(g, eps, u_try, lam_vec, alpha))
+        sweeps = np.tile(u_opt, (n, grid.size, 1))
+        sweeps[np.arange(n), :, np.arange(n)] = grid
+        jumps = np.maximum(u_opt + rng.normal(scale=0.5, size=(n_perturbations, n)), 0.0)
+        candidates = np.concatenate([sweeps.reshape(-1, n), jumps])
+        gaps.append(float((base - fs.lagrangian_rfl_slack(g, eps, candidates, lam_vec, alpha)).max()))
 
+    # np.max, unlike max(), propagates NaN, so a non-finite value fails the check.
+    worst_gap, worst_identity = float(np.max(gaps)), float(np.max(identities))
     saddle_gap = abs(fs.lagrangian_alpha(g, eps, lam_star, alpha) - fs.cserm_objective(g, eps, alpha))
-    passed = worst_gap <= tol and worst_identity <= tol and saddle_gap <= tol
+    passed = all(math.isfinite(x) and x <= tol for x in (worst_gap, worst_identity, saddle_gap))
     return {"check": "slack_inner_min", "passed": passed, "tol": tol,
             "worst_inner_gap": worst_gap, "worst_identity_discrepancy": worst_identity,
             "saddle_discrepancy": saddle_gap}
@@ -171,9 +171,9 @@ def slack_elimination_suite(n_trials: int = 100, n_perturbations: int = 100,
     failures = [r for r in reports if not r["passed"]]
     return {"check": "slack_elimination_suite", "passed": not failures, "n_trials": n_trials,
             "tol": tol,
-            "worst_inner_gap": max(r["worst_inner_gap"] for r in reports),
-            "worst_identity_discrepancy": max(r["worst_identity_discrepancy"] for r in reports),
-            "worst_saddle_discrepancy": max(r["saddle_discrepancy"] for r in reports),
+            "worst_inner_gap": float(np.max([r["worst_inner_gap"] for r in reports])),
+            "worst_identity_discrepancy": float(np.max([r["worst_identity_discrepancy"] for r in reports])),
+            "worst_saddle_discrepancy": float(np.max([r["saddle_discrepancy"] for r in reports])),
             "n_failures": len(failures)}
 
 

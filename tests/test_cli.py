@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from feaslearn import cli, models, trainers
+from feaslearn import feasibility as fs
 from feaslearn.errors import ConfigError
 
 
@@ -152,6 +153,36 @@ class TestRunExperiment:
         assert f"'trainer.{key}'" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "tiny_fl")
 
+    def test_empty_test_split_exits_two(self, tmp_path, capsys):
+        # round(0.01 * 20) = 0 test samples
+        cfg = {"name": "tiny_split",
+               "dataset": {"generator": "noisy_cosine", "n": 20, "sigma": 0.2, "seed": 0},
+               "split": {"test_fraction": 0.01, "seed": 0},
+               "model": {"family": "linear"},
+               "trainer": {"method": "erm", "eta_theta": 0.05, "epochs": 2},
+               "seeds": [0], "output_dir": str(tmp_path / "tiny_split")}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "'split.test_fraction'" in err and "0 test" in err
+
+    @pytest.mark.parametrize("key", ["dataset", "model", "split", "metrics", "trainer"])
+    def test_non_object_section_exits_two(self, tmp_path, capsys, key):
+        cfg = _tiny_config(tmp_path, seeds=(0,))
+        cfg[key] = 3
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+        assert f"'{key}': must be a JSON object" in capsys.readouterr().err
+
+    def test_repeated_seeds_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_tiny_config(tmp_path, seeds=(0, 1, 0))))
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+        assert "'seeds': repeated seeds [0]" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "tiny_fl")
+
     def test_label_beyond_output_width_exits_two(self, tmp_path, capsys):
         # two_moons labels are 0 and 1; a one-output classifier cannot index label 1
         cfg = _tiny_config(tmp_path, seeds=(0,))
@@ -266,6 +297,16 @@ class TestVerify:
         linear = next(c for c in report["checks"])["families"]["linear"]
         assert linear["rel_error"] > 1e-5
         assert "coordinate" in linear
+
+    def test_slack_fault_injection_fails_props(self, monkeypatch, capsys):
+        # a slack that is not lam / alpha does not minimize the slack-form value
+        monkeypatch.setattr(fs, "slack_view",
+                            lambda lam, alpha: fs.SlackView(u=np.asarray(lam) / alpha + 0.05))
+        assert cli.main(["verify", "props"]) == cli.EXIT_VERIFY
+        report = json.loads(capsys.readouterr().out)
+        slack = next(c for c in report["checks"] if c["check"] == "slack_elimination_suite")
+        assert not slack["passed"] and slack["n_failures"] > 0
+        assert slack["worst_inner_gap"] > 1e-10
 
     def test_verify_all_union(self, tmp_path):
         report = cli.verify("all", report_path=str(tmp_path / "report.json"))

@@ -250,6 +250,11 @@ class TestSplit:
         stacked = np.vstack([train.features, test.features])
         assert np.array_equal(np.sort(stacked, axis=0), np.sort(ds.features, axis=0))
 
+    @pytest.mark.parametrize("n,fraction", [(20, 0.01), (20, 0.0), (1, 0.6), (3, 0.9)])
+    def test_empty_half_rejected(self, n, fraction):
+        with pytest.raises(ParameterError, match="leaves"):
+            data.split_train_test(data.gen_noisy_cosine(n, 0.1, 0), fraction, 0)
+
 
 class TestCsvRoundTrip:
     def test_regression_round_trip(self, tmp_path):

@@ -130,6 +130,26 @@ class TestLagrangians:
         val = fs.lagrangian_rfl_slack([0.6], 0.51, [0.09], [0.18], 2.0)
         assert val == pytest.approx(fs.lagrangian_alpha([0.6], 0.51, [0.18], 2.0), abs=1e-15)
 
+    @pytest.mark.parametrize("vector_eps", [False, True])
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_slack_form_stack_equals_rows_bitwise(self, n, vector_eps):
+        rng = np.random.default_rng(n)
+        g = rng.uniform(0.0, 3.0, n)
+        eps = rng.uniform(0.0, 1.5, n) if vector_eps else float(rng.uniform(0.0, 1.5))
+        lam, alpha = rng.uniform(0.0, 2.0, n), float(10.0 ** rng.uniform(-2, 2))
+        v = g - eps
+        stack = np.maximum(rng.normal(scale=0.5, size=(3, 40, n)), 0.0)
+        for u in (stack, stack[1]):
+            values = fs.lagrangian_rfl_slack(g, eps, u, lam, alpha)
+            assert values.shape == u.shape[:-1]
+            for idx in np.ndindex(u.shape[:-1]):
+                row = u[idx]
+                single = fs.lagrangian_rfl_slack(g, eps, row, lam, alpha)
+                assert type(single) is float
+                # the single-vector formula before stacks were accepted
+                reference = 0.5 * alpha * float(row @ row) + float(lam @ (v - row))
+                assert values[idx] == single == reference
+
 
 class TestAnalyticDualOpt:
     def test_formula(self):

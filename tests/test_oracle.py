@@ -1,5 +1,7 @@
 """Oracle self-tests: these run before anything else is trusted."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,78 @@ def test_slack_minimum_equals_regularized_value_in_lam():
 def test_slack_elimination_suite_passes():
     report = oracle.slack_elimination_suite(n_trials=100, n_perturbations=100, tol=1e-10, seed=0)
     assert report["passed"], report
+
+
+def _slack_inner_min_one_call_per_candidate(g, eps, alpha, n_perturbations, tol, seed, lam):
+    """Reference: check_slack_inner_min as a loop with one value call per candidate."""
+    g = np.asarray(g, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    lam_star = fs.analytic_dual_opt(g, eps, alpha)
+    if lam is not None:
+        lam_draws = [np.asarray(lam, dtype=np.float64)]
+    else:
+        lam_draws = [rng.uniform(0.0, 2.0, size=g.shape) for _ in range(5)]
+    lam_draws.append(lam_star)
+    worst_gap, worst_identity = -math.inf, 0.0
+    for lam_vec in lam_draws:
+        u_opt = fs.slack_view(lam_vec, alpha).u
+        base = fs.lagrangian_rfl_slack(g, eps, u_opt, lam_vec, alpha)
+        worst_identity = max(worst_identity, abs(base - fs.lagrangian_alpha(g, eps, lam_vec, alpha)))
+        grid = np.linspace(0.0, max(1.0, float(u_opt.max()) * 2.0), 21)
+        for j in range(g.size):
+            u_try = np.repeat(u_opt[None, :], grid.size, axis=0)
+            u_try[:, j] = grid
+            for row in u_try:
+                worst_gap = max(worst_gap, base - fs.lagrangian_rfl_slack(g, eps, row, lam_vec, alpha))
+        for _ in range(n_perturbations):
+            u_try = np.maximum(u_opt + rng.normal(scale=0.5, size=g.shape), 0.0)
+            worst_gap = max(worst_gap, base - fs.lagrangian_rfl_slack(g, eps, u_try, lam_vec, alpha))
+    saddle_gap = abs(fs.lagrangian_alpha(g, eps, lam_star, alpha) - fs.cserm_objective(g, eps, alpha))
+    return {"check": "slack_inner_min",
+            "passed": worst_gap <= tol and worst_identity <= tol and saddle_gap <= tol, "tol": tol,
+            "worst_inner_gap": worst_gap, "worst_identity_discrepancy": worst_identity,
+            "saddle_discrepancy": saddle_gap}
+
+
+@pytest.mark.parametrize("case", range(40))
+def test_slack_inner_min_matches_per_candidate_loop(case):
+    rng = np.random.default_rng(1000 + case)
+    n = 1 if case < 8 else int(rng.integers(1, 10))
+    g = rng.uniform(0.0, 3.0, n)
+    eps = rng.uniform(0.0, 1.5, n) if case % 2 else float(rng.uniform(0.0, 1.5))
+    alpha = float(10.0 ** rng.uniform(-2, 2))
+    lam = rng.uniform(0.0, 2.0, n) if case % 3 == 0 else None
+    n_perturbations = 0 if case % 4 == 1 else int(rng.integers(1, 120))
+    seed = int(rng.integers(0, 2**31))
+    expected = _slack_inner_min_one_call_per_candidate(g, eps, alpha, n_perturbations, 1e-10, seed, lam)
+    got = oracle.check_slack_inner_min(g, eps, alpha, n_perturbations=n_perturbations,
+                                       tol=1e-10, seed=seed, lam=lam)
+    assert got == expected
+    assert got["passed"]
+
+
+def test_slack_inner_min_fails_on_non_optimal_slack(monkeypatch):
+    monkeypatch.setattr(fs, "slack_view", lambda lam, alpha: fs.SlackView(u=np.asarray(lam) / alpha + 0.05))
+    report = oracle.check_slack_inner_min(np.array([0.9, 0.2, 1.4]), 0.3, 2.0)
+    assert not report["passed"]
+    assert report["worst_inner_gap"] > 1e-10
+
+
+def test_slack_inner_min_fails_on_nan_value(monkeypatch):
+    original = fs.lagrangian_rfl_slack
+    monkeypatch.setattr(fs, "lagrangian_rfl_slack", lambda *args: original(*args) * math.nan)
+    report = oracle.check_slack_inner_min(np.array([0.9, 0.2, 1.4]), 0.3, 2.0, n_perturbations=5)
+    assert not report["passed"]
+    assert math.isnan(report["worst_inner_gap"])
+    assert math.isnan(report["worst_identity_discrepancy"])
+
+
+def test_cserm_identity_fails_on_nan_value(monkeypatch):
+    monkeypatch.setattr(fs, "lagrangian_alpha", lambda *args: math.nan)
+    report = oracle.check_cserm_identity("all", n_trials=8, seed=0)
+    assert not report["passed"]
+    assert math.isnan(report["max_discrepancy"])
+    assert len(report["failures"]) == 8
 
 
 def test_gradient_check_all_families():
