@@ -19,14 +19,11 @@ from .data import (
 from .feasibility import (
     ConstraintSpec,
     MultiplierState,
-    SlackView,
     analytic_dual_opt,
     cserm_objective,
     cserm_weights,
-    dual_step_fl,
     dual_step_rfl,
     lagrangian_alpha,
-    lagrangian_fl,
     lagrangian_rfl_slack,
     slack_view,
     violations,
@@ -44,9 +41,9 @@ from .trainers import RunRecord, TrainerConfig, feasibility_report, train
 __all__ = [
     "Batch", "Dataset", "batch_iter", "gen_conflicting_pairs", "gen_noisy_cosine",
     "gen_two_moons", "poly_features", "split_train_test",
-    "ConstraintSpec", "MultiplierState", "SlackView",
-    "analytic_dual_opt", "cserm_objective", "cserm_weights", "dual_step_fl",
-    "dual_step_rfl", "lagrangian_alpha", "lagrangian_fl", "lagrangian_rfl_slack",
+    "ConstraintSpec", "MultiplierState",
+    "analytic_dual_opt", "cserm_objective", "cserm_weights",
+    "dual_step_rfl", "lagrangian_alpha", "lagrangian_rfl_slack",
     "slack_view", "violations",
     "MLP", "LinearModel", "ModelParams", "PolyModel", "per_sample_loss",
     "weighted_loss_grad",

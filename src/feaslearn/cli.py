@@ -24,6 +24,7 @@ import sys
 import numpy as np
 
 from . import data as dt
+from . import feasibility as fs
 from . import metrics as mt
 from . import models as md
 from . import oracle
@@ -45,26 +46,26 @@ CONFIG_DEFAULTS = {
     "seeds": [0, 1, 2, 3, 4],
 }
 
-TRAINER_DEFAULTS = {
-    "eta_theta": 1e-3,
-    "eta_lambda": 1e-2,
-    "alpha": "inf",
-    "eps": 0.0,
-    "batch_size": None,
-    "epochs": 100,
-    "primal_optimizer": "sgd",
-    "momentum": 0.9,
-    "weight_decay": 0.0,
-    "cosine_decay": False,
-    "analytic_dual": False,
-}
-
-# Every TrainerConfig field but seed, which each run takes from "seeds".
-_TRAINER_KEYS = {f.name for f in dataclasses.fields(tr.TrainerConfig)} - {"seed"}
+# TrainerConfig's defaults: method has none, and each run takes its seed from "seeds".
+TRAINER_DEFAULTS = {f.name: f.default for f in dataclasses.fields(tr.TrainerConfig)
+                    if f.name not in ("method", "seed")}
+_TRAINER_KEYS = set(TRAINER_DEFAULTS) | {"method"}
 
 
 def _fail(path: str, message: str):
     raise ConfigError(f"config field '{path}': {message}")
+
+
+def _is_number(value, integer: bool = False) -> bool:
+    return not isinstance(value, bool) and isinstance(value, int if integer else (int, float))
+
+
+def _number(section: dict, path: str, key: str, default, integer: bool = False):
+    """``section[key]``, or ``default`` when absent; a number, an integer if ``integer``."""
+    value = section.get(key, default)
+    if not _is_number(value, integer):
+        _fail(f"{path}.{key}", f"must be {'an integer' if integer else 'a number'}, got {value!r}")
+    return value
 
 
 def load_config(source) -> dict:
@@ -103,21 +104,25 @@ def load_config(source) -> dict:
     if merged["trainer"]["method"] not in tr.METHODS:
         _fail("trainer.method", f"must be one of {tr.METHODS}")
     seeds = merged["seeds"]
-    if not isinstance(seeds, list) or not seeds or any(not isinstance(s, int) or s < 0 for s in seeds):
+    if not isinstance(seeds, list) or not seeds or any(not _is_number(s, True) or s < 0 for s in seeds):
         _fail("seeds", "must be a non-empty list of non-negative integers")
     repeated = sorted({s for s in seeds if seeds.count(s) > 1})
     if repeated:
         _fail("seeds", f"repeated seeds {repeated}")
     quantiles = merged["metrics"]["quantiles"]
-    if any(not 0.0 <= q < 1.0 for q in quantiles):
-        _fail("metrics.quantiles", "quantiles must lie in [0, 1)")
+    if not isinstance(quantiles, list) or any(not _is_number(q) or not 0.0 <= q < 1.0 for q in quantiles):
+        _fail("metrics.quantiles", "must be a list of quantiles in [0, 1)")
     frac = merged["split"]["test_fraction"]
-    if not 0.0 <= frac < 1.0:
+    if not _is_number(frac) or not 0.0 <= frac < 1.0:
         _fail("split.test_fraction", "must lie in [0, 1)")
+    for path, seed in (("dataset.seed", merged["dataset"].get("seed")),
+                       ("split.seed", merged["split"]["seed"])):
+        if seed is not None and not (_is_number(seed, True) and seed >= 0):
+            _fail(path, "must be a non-negative integer or null")
     alpha = merged["trainer"]["alpha"]
     if alpha in ("inf", None):
         merged["trainer"]["alpha"] = math.inf
-    elif not isinstance(alpha, (int, float)) or alpha <= 0:
+    elif not _is_number(alpha) or alpha <= 0:
         _fail("trainer.alpha", "must be a positive number, 'inf', or null")
     merged.setdefault("output_dir", os.path.join("runs", merged["name"]))
     return merged
@@ -130,21 +135,28 @@ def build_dataset(cfg: dict, run_seed: int) -> tuple[dt.Dataset, dt.Dataset | No
     gen = dcfg.get("generator")
     seed = dcfg.get("seed")
     seed = run_seed if seed is None else seed
+
+    def arg(key, default, integer=False):
+        return _number(dcfg, "dataset", key, default, integer)
+
     try:
         if gen == "two_moons":
-            full = dt.gen_two_moons(dcfg.get("n", 1000), dcfg.get("noise", 0.1), seed)
+            full = dt.gen_two_moons(arg("n", 1000, True), arg("noise", 0.1), seed)
         elif gen == "noisy_cosine":
-            full = dt.gen_noisy_cosine(dcfg.get("n", 20), dcfg.get("sigma", 0.2), seed)
+            full = dt.gen_noisy_cosine(arg("n", 20, True), arg("sigma", 0.2), seed)
         elif gen == "conflicting_pairs":
-            full = dt.gen_conflicting_pairs(dcfg.get("n_pairs", 8), dcfg.get("d", 2),
-                                            dcfg.get("label_gap", 2.0), seed)
+            full = dt.gen_conflicting_pairs(arg("n_pairs", 8, True), arg("d", 2, True),
+                                            arg("label_gap", 2.0), seed)
         elif gen == "csv" or "path" in dcfg:
             full = dt.load_dataset_csv(dcfg["path"], dcfg.get("task", dt.REGRESSION))
         else:
             _fail("dataset.generator", f"unknown generator {gen!r}")
         out = dcfg.get("outliers")
         if out:
-            full = dt.with_label_outliers(full, out.get("fraction", 0.05), out.get("offset", 1.0),
+            if not isinstance(out, dict):
+                _fail("dataset.outliers", "must be a JSON object")
+            full = dt.with_label_outliers(full, _number(out, "dataset.outliers", "fraction", 0.05),
+                                          _number(out, "dataset.outliers", "offset", 1.0),
                                           seed, out.get("placement", "random"))
     except ParameterError as err:
         raise ConfigError(f"config field 'dataset': {err}")
@@ -166,12 +178,16 @@ def build_model(cfg: dict, dataset: dt.Dataset) -> md.Model:
         if family == "linear":
             return md.LinearModel(dataset.n_features)
         if family == "poly":
-            return md.PolyModel(mcfg.get("degree", 3), mcfg.get("basis", "chebyshev"),
-                                tuple(mcfg["domain"]) if "domain" in mcfg else None)
+            domain = mcfg.get("domain")
+            if domain is not None and not (isinstance(domain, list) and len(domain) == 2
+                                           and all(map(_is_number, domain))):
+                _fail("model.domain", f"must be [lo, hi] or null, got {domain!r}")
+            return md.PolyModel(_number(mcfg, "model", "degree", 3, True), mcfg.get("basis", "chebyshev"),
+                                tuple(domain) if domain is not None else None)
         if family == "mlp":
             layers = mcfg.get("layers")
-            if layers is None:
-                _fail("model.layers", "required for mlp")
+            if not isinstance(layers, list) or not all(_is_number(w, True) for w in layers):
+                _fail("model.layers", f"required for mlp: a list of integer widths, got {layers!r}")
             return md.MLP(tuple(layers), task=dataset.task)
     except ParameterError as err:
         raise ConfigError(f"config field 'model': {err}")
@@ -203,9 +219,9 @@ def _seed_metrics(cfg: dict, record: tr.RunRecord, model: md.Model,
             preds = model.forward(record.params.theta, ds.features)
             out[f"{split}_accuracy"] = float(np.mean(preds.argmax(axis=1) == ds.targets))
     if record.final_train_losses is not None:
-        out["sat_fraction"] = float(np.mean(record.final_train_losses <= eps + 1e-8))
+        out["sat_fraction"] = float(np.mean(record.final_train_losses <= eps + fs.SAT_TOL))
     lam = record.multipliers.lam
-    out["lam_fraction_zero"] = float(np.mean(lam <= 1e-12))
+    out["lam_fraction_zero"] = float(np.mean(lam <= fs.ZERO_MULTIPLIER_TOL))
     out["lam_max"] = float(lam.max())
     if (train_ds.task == dt.CLASSIFICATION and record.config["method"] in (tr.FL, tr.RFL)
             and record.final_train_losses is not None):

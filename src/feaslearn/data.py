@@ -66,12 +66,6 @@ class Dataset:
     def n_features(self) -> int:
         return self.features.shape[1]
 
-    @property
-    def n_classes(self) -> int:
-        if self.task != CLASSIFICATION:
-            raise ParameterError("n_classes is only defined for classification datasets")
-        return int(self.targets.max()) + 1
-
     def signature(self) -> str:
         """Content hash used to refuse comparisons across different datasets."""
         h = hashlib.sha256()

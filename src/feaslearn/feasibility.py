@@ -22,6 +22,10 @@ from .errors import NumericError, ParameterError, ShapeError, named_rows
 # Multipliers past this are treated as dual blow-up (unsatisfiable
 # constraints under pure ascent); trainers abort with the offending ids.
 BLOWUP_THRESHOLD = 1e12
+# A constraint g <= eps counts as satisfied up to this slack.
+SAT_TOL = 1e-8
+# Multipliers at or below this count as zero.
+ZERO_MULTIPLIER_TOL = 1e-12
 
 
 def _as_eps(spec) -> np.ndarray | float:
@@ -40,12 +44,6 @@ class ConstraintSpec:
         self.values = np.atleast_1d(np.asarray(self.values, dtype=np.float64))
         if (self.values < 0).any():
             raise ParameterError("constraint levels must be non-negative")
-
-    @classmethod
-    def uniform(cls, level: float, n: int) -> "ConstraintSpec":
-        if level < 0:
-            raise ParameterError("constraint level must be non-negative")
-        return cls(values=np.full(n, float(level)))
 
     def slice(self, ids) -> np.ndarray:
         return self.values[np.asarray(ids, dtype=np.int64)]
@@ -67,21 +65,9 @@ class MultiplierState:
         return cls(lam=np.zeros(n))
 
 
-@dataclass
-class SlackView:
-    """Derived slack values lam / alpha; only meaningful in rfl mode."""
-
-    u: np.ndarray
-
-
 def violations(g, spec) -> np.ndarray:
     """g - eps elementwise; positive entries are unsatisfied constraints."""
     return np.asarray(g, dtype=np.float64) - _as_eps(spec)
-
-
-def dual_step_fl(lam, v, eta_lam: float) -> np.ndarray:
-    """Projected gradient ascent on the multipliers: [lam + eta * v]_+."""
-    return dual_step_rfl(lam, v, eta_lam, math.inf)
 
 
 def dual_step_rfl(lam, v, eta_lam: float, alpha: float, ids=None) -> np.ndarray:
@@ -89,7 +75,8 @@ def dual_step_rfl(lam, v, eta_lam: float, alpha: float, ids=None) -> np.ndarray:
 
     The decay discounts historical violations, which keeps multipliers of
     unsatisfiable constraints bounded (fixed point alpha * v for constant
-    violation v). alpha = inf recovers the plain ascent step exactly.
+    violation v). alpha = inf is the plain projected ascent [lam + eta * v]_+
+    of fl, exactly.
     A non-finite result names its samples by ``ids`` (positions when None).
     """
     if eta_lam <= 0:
@@ -106,25 +93,20 @@ def dual_step_rfl(lam, v, eta_lam: float, alpha: float, ids=None) -> np.ndarray:
     return out
 
 
-def lagrangian_fl(g, spec, lam) -> float:
-    """Inner product of the multipliers with the constraint violations."""
-    lam = np.asarray(lam, dtype=np.float64)
-    v = violations(g, spec)
-    if lam.shape != v.shape:
-        raise ShapeError("multiplier and loss vectors must have equal length")
-    return float(lam @ v)
-
-
 def lagrangian_alpha(g, spec, lam, alpha: float) -> float:
     """Quadratically-regularized value: lam^T (g - eps) - ||lam||^2 / (2 alpha).
 
     Strictly concave in lam for finite alpha, so the inner maximization has
-    the unique solution given by :func:`analytic_dual_opt`.
+    the unique solution given by :func:`analytic_dual_opt`. alpha = inf gives
+    the plain Lagrangian term lam^T (g - eps) of fl.
     """
     if alpha <= 0:
         raise ParameterError("alpha must be positive")
     lam = np.asarray(lam, dtype=np.float64)
-    return lagrangian_fl(g, spec, lam) - float(lam @ lam) / (2.0 * alpha)
+    v = violations(g, spec)
+    if lam.shape != v.shape:
+        raise ShapeError("multiplier and loss vectors must have equal length")
+    return float(lam @ v) - float(lam @ lam) / (2.0 * alpha)
 
 
 def lagrangian_rfl_slack(g, spec, u, lam, alpha: float) -> float | np.ndarray:
@@ -150,14 +132,14 @@ def analytic_dual_opt(g, spec, alpha: float) -> np.ndarray:
     return alpha * np.maximum(violations(g, spec), 0.0)
 
 
-def slack_view(lam, alpha: float) -> SlackView:
+def slack_view(lam, alpha: float) -> np.ndarray:
     """Recover the eliminated slack variables u = lam / alpha."""
     if not (alpha > 0 and math.isfinite(alpha)):
         raise ParameterError("slack variables are only defined for finite positive alpha")
     lam = np.asarray(lam, dtype=np.float64)
     if (lam < 0).any():
         raise ParameterError("multipliers must be non-negative")
-    return SlackView(u=lam / alpha)
+    return lam / alpha
 
 
 def cserm_objective(g, spec, alpha: float) -> float:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError
+from .feasibility import ZERO_MULTIPLIER_TOL
 
 
 def empirical_cdf(losses) -> list[tuple[float, float]]:
@@ -38,20 +39,7 @@ def cvar(losses, q: float) -> float:
     return float(var + np.maximum(losses - var, 0.0).mean() / (1.0 - q))
 
 
-def summary(losses, correct=None) -> dict:
-    """Mean and max loss, plus accuracy when a correctness mask is given.
-
-    The max column doubles as the worst-case (max per-sample loss) objective
-    value at the current parameters.
-    """
-    losses = np.asarray(losses, dtype=np.float64)
-    out = {"mean": float(losses.mean()), "max": float(losses.max())}
-    if correct is not None:
-        out["accuracy"] = float(np.mean(np.asarray(correct, dtype=bool)))
-    return out
-
-
-def multiplier_stats(lam, k: int, tol: float = 1e-12) -> dict:
+def multiplier_stats(lam, k: int, tol: float = ZERO_MULTIPLIER_TOL) -> dict:
     """Fraction of (near-)zero multipliers, ids of the k largest, and deciles."""
     lam = np.asarray(lam, dtype=np.float64)
     if k > lam.size:

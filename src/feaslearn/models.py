@@ -4,7 +4,9 @@ Models are stateless architecture objects; parameters travel as a flat
 float64 vector so optimizers and checkpoints never care about layer
 structure. All gradients are hand-written. A weighted gradient over a batch
 costs exactly one forward and one backward pass, the same as an unweighted
-(average-loss) gradient: per-sample gradients are never materialized.
+(average-loss) gradient: per-sample gradients are never materialized. The
+trainer and the gradient oracle take that backward pass through the same
+function, :func:`weighted_grad`.
 
 Everything runs in 64-bit floats; the verification oracles demand ~1e-10
 agreement between independent formulas, which single precision cannot reach.
@@ -21,20 +23,6 @@ from .errors import NumericError, ParameterError, ShapeError, named_rows
 
 SQUARED_ERROR = "squared_error"
 CROSS_ENTROPY = "cross_entropy"
-
-# Global forward/backward counters, used to demonstrate cost parity between
-# plain average-loss training and multiplier-weighted training.
-_PASS_COUNTS = {"forward": 0, "backward": 0}
-
-
-def reset_pass_counts() -> None:
-    _PASS_COUNTS["forward"] = 0
-    _PASS_COUNTS["backward"] = 0
-
-
-def pass_counts() -> dict:
-    return dict(_PASS_COUNTS)
-
 
 @dataclass
 class ModelParams:
@@ -115,11 +103,9 @@ class LinearModel(Model):
         X = np.asarray(features, dtype=np.float64)
         if X.shape[1] != self.n_features:
             raise ShapeError(f"expected {self.n_features} features, got {X.shape[1]}")
-        _PASS_COUNTS["forward"] += 1
         return X @ theta, X
 
     def backward(self, cache, grad_pred):
-        _PASS_COUNTS["backward"] += 1
         return cache.T @ np.asarray(grad_pred, dtype=np.float64)
 
 
@@ -203,7 +189,6 @@ class MLP(Model):
             if i < len(weights) - 1:
                 np.maximum(a, 0.0, out=a)
             activations.append(a)
-        _PASS_COUNTS["forward"] += 1
         out = activations[-1]
         preds = out[:, 0] if self.task == _data.REGRESSION else out
         return preds, (weights, activations)
@@ -223,7 +208,6 @@ class MLP(Model):
                 # relu(z) > 0 exactly where z > 0, so the activation gives the mask.
                 delta = delta @ weights[i]
                 delta *= activations[i] > 0.0
-        _PASS_COUNTS["backward"] += 1
         return np.concatenate([np.concatenate([w.ravel(), b]) for w, b in zip(grads_w, grads_b)])
 
 
@@ -294,6 +278,18 @@ def loss_grad(kind: str, predictions, targets) -> np.ndarray:
     raise ParameterError(f"unknown loss kind {kind!r}")
 
 
+def weighted_grad(model: Model, cache, preds, targets, weights, kind: str) -> np.ndarray:
+    """The backward half of a step: gradient of sum_i weights_i * loss_i at the
+    forward pass that returned ``preds`` and ``cache``.
+
+    The training step and :func:`weighted_loss_grad` both run it; it checks
+    nothing itself.
+    """
+    dpred = loss_grad(kind, preds, targets)
+    scaled = weights * dpred if dpred.ndim == 1 else weights[:, None] * dpred
+    return model.backward(cache, scaled)
+
+
 def weighted_loss_grad(model: Model, theta, batch, weights, kind: str) -> np.ndarray:
     """Gradient of sum_i weights_i * loss_i(theta) in one forward/backward pass.
 
@@ -306,9 +302,7 @@ def weighted_loss_grad(model: Model, theta, batch, weights, kind: str) -> np.nda
     if (weights < 0).any():
         raise ParameterError("weights must be non-negative")
     preds, cache = model.forward_cache(theta, model.featurize(batch.features))
-    dpred = loss_grad(kind, preds, batch.targets)
-    scaled = weights * dpred if dpred.ndim == 1 else weights[:, None] * dpred
-    grad = model.backward(cache, scaled)
+    grad = weighted_grad(model, cache, preds, batch.targets, weights, kind)
     if not np.all(np.isfinite(grad)):
         raise NumericError("non-finite entries in weighted loss gradient")
     return grad

@@ -134,7 +134,7 @@ def check_slack_inner_min(g, eps, alpha: float, n_perturbations: int = 100,
     gaps, identities = [], []
     n = g.size
     for lam_vec in lam_draws:
-        u_opt = fs.slack_view(lam_vec, alpha).u
+        u_opt = fs.slack_view(lam_vec, alpha)
         base = fs.lagrangian_rfl_slack(g, eps, u_opt, lam_vec, alpha)
         identities.append(abs(base - fs.lagrangian_alpha(g, eps, lam_vec, alpha)))
         # Coordinate grids: the slack-form value is separable in u, so

@@ -52,6 +52,10 @@ TRAJECTORY_COLUMNS = [
 ]
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass
 class TrainerConfig:
     method: str
@@ -67,8 +71,6 @@ class TrainerConfig:
     weight_decay: float = 0.0
     cosine_decay: bool = False
     analytic_dual: bool = False
-    sat_tol: float = 1e-8
-    blowup_threshold: float = fs.BLOWUP_THRESHOLD
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -86,8 +88,12 @@ class TrainerConfig:
             raise ParameterError("rfl/cserm need a finite positive alpha")
         if self.analytic_dual and self.method != RFL:
             raise ParameterError("analytic_dual only applies to rfl")
-        if self.epochs < 0 or self.seed < 0:
-            raise ParameterError("epochs and seed must be non-negative")
+        if not _is_int(self.epochs) or self.epochs < 0:
+            raise ParameterError(f"epochs must be a non-negative integer, got {self.epochs!r}")
+        if self.batch_size is not None and not (_is_int(self.batch_size) and self.batch_size > 0):
+            raise ParameterError(f"batch_size must be a positive integer or null, got {self.batch_size!r}")
+        if self.seed < 0:
+            raise ParameterError("seed must be non-negative")
 
     def echo(self) -> dict:
         out = asdict(self)
@@ -227,11 +233,11 @@ def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
 
     for epoch in range(config.epochs):
         max_step_violation = -math.inf
-        counts_before = models.pass_counts()
         try:
             epoch_seed = combine_seed(config.seed, epoch)
             for batch in batch_iter(train_rows, batch_size, epoch_seed, shuffle_rng):
                 preds, cache = model.forward_cache(theta, batch.features)
+                passes["forward"] += 1
                 g = models.per_sample_loss(kind, preds, batch.targets, batch.ids)
                 eps_b = spec.slice(batch.ids)
                 v = fs.violations(g, eps_b)
@@ -244,10 +250,10 @@ def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
                         lam_new = fs.dual_step_rfl(mult.lam[batch.ids], v, config.eta_lambda,
                                                    config.alpha, batch.ids)
                     mult.lam[batch.ids] = lam_new
-                    if lam_new.max() > config.blowup_threshold:
-                        blown = batch.ids[lam_new > config.blowup_threshold]
+                    if lam_new.max() > fs.BLOWUP_THRESHOLD:
+                        blown = batch.ids[lam_new > fs.BLOWUP_THRESHOLD]
                         raise NumericError(
-                            f"dual blow-up: multipliers exceed {config.blowup_threshold:g} "
+                            f"dual blow-up: multipliers exceed {fs.BLOWUP_THRESHOLD:g} "
                             f"on samples {blown.tolist()}", ids=blown)
                     weights = lam_new
                 elif config.method == CSERM:
@@ -255,9 +261,8 @@ def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
                 else:
                     weights = np.full(len(batch), 1.0 / len(batch))
 
-                dpred = models.loss_grad(kind, preds, batch.targets)
-                scaled = weights * dpred if dpred.ndim == 1 else weights[:, None] * dpred
-                grad = model.backward(cache, scaled)
+                grad = models.weighted_grad(model, cache, preds, batch.targets, weights, kind)
+                passes["backward"] += 1
                 lr = config.eta_theta
                 if config.cosine_decay:
                     lr *= 0.5 * (1.0 + math.cos(math.pi * step_idx / total_steps))
@@ -267,9 +272,6 @@ def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
                 step_idx += 1
         except NumericError as err:
             abort_reason, abort = str(err), {"epoch": epoch, "step": step_idx, "ids": err.ids}
-        counts_after = models.pass_counts()
-        passes["forward"] += counts_after["forward"] - counts_before["forward"]
-        passes["backward"] += counts_after["backward"] - counts_before["backward"]
         if abort is not None:
             break
 
@@ -287,12 +289,12 @@ def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
             "train_mean_loss": float(train_losses.sum()) / n,
             "train_max_loss": float(train_losses.max()),
             "train_accuracy": train_acc,
-            "sat_fraction": np.count_nonzero(train_losses <= spec.values + config.sat_tol) / n,
+            "sat_fraction": np.count_nonzero(train_losses <= spec.values + fs.SAT_TOL) / n,
             "max_step_violation": max_step_violation,
             "lam_min": float(mult.lam.min()),
             "lam_mean": float(mult.lam.sum()) / n,
             "lam_max": float(mult.lam.max()),
-            "lam_frac_zero": np.count_nonzero(mult.lam <= 1e-12) / n,
+            "lam_frac_zero": np.count_nonzero(mult.lam <= fs.ZERO_MULTIPLIER_TOL) / n,
             "test_mean_loss": math.nan,
             "test_max_loss": math.nan,
             "test_accuracy": math.nan,
@@ -341,14 +343,13 @@ def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
     )
 
 
-def feasibility_report(model: models.Model, theta, dataset: Dataset, spec,
-                       tol: float = 1e-8) -> dict:
+def feasibility_report(model: models.Model, theta, dataset: Dataset, spec) -> dict:
     """Count satisfied constraints and name the violated ones at the current theta."""
     losses, _ = _eval_split(model, theta, _featurized(model, dataset), _loss_kind(dataset))
     v = fs.violations(losses, spec)
-    violating = dataset.ids[v > tol]
+    violating = dataset.ids[v > fs.SAT_TOL]
     return {
-        "satisfied_count": int(np.sum(v <= tol)),
+        "satisfied_count": int(np.sum(v <= fs.SAT_TOL)),
         "max_violation": float(np.maximum(v, 0.0).max()),
         "violating_ids": [int(i) for i in violating],
     }

@@ -182,6 +182,29 @@ class TestRunExperiment:
         assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
         assert "'seeds': repeated seeds [0]" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "tiny_fl")
+        # true is not the seed 1
+        path.write_text(json.dumps(_tiny_config(tmp_path, seeds=(True,))))
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+        assert "'seeds': must be a non-empty list" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "tiny_fl")
+
+    @pytest.mark.parametrize("section,key,value,named", [
+        ("metrics", "quantiles", 3, "'metrics.quantiles'"),
+        ("dataset", "n", "abc", "'dataset.n'"),
+        ("model", "layers", "ab", "'model.layers'"),
+        ("model", "degree", "x", "'model.degree'"),
+        ("trainer", "epochs", 2.5, "epochs must be a non-negative integer"),
+        ("trainer", "batch_size", 0, "batch_size must be a positive integer"),
+    ])
+    def test_mistyped_value_exits_two(self, tmp_path, capsys, section, key, value, named):
+        cfg = _tiny_config(tmp_path, seeds=(0,))
+        if key == "degree":
+            cfg["model"] = {"family": "poly"}
+        cfg.setdefault(section, {})[key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+        assert named in capsys.readouterr().err
 
     def test_label_beyond_output_width_exits_two(self, tmp_path, capsys):
         # two_moons labels are 0 and 1; a one-output classifier cannot index label 1
@@ -191,6 +214,20 @@ class TestRunExperiment:
         path.write_text(json.dumps(cfg))
         assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
         assert "output width 1" in capsys.readouterr().err
+
+    def test_summary_agrees_with_last_trajectory_row(self, tmp_path):
+        cfg = {"name": "cosine_fl",
+               "dataset": {"generator": "noisy_cosine", "n": 20, "sigma": 0.2, "seed": 0},
+               "model": {"family": "poly", "degree": 6, "domain": [0.0, 1.0]},
+               "trainer": {"method": "fl", "eta_theta": 0.05, "eta_lambda": 0.5, "eps": 0.05,
+                           "epochs": 50},
+               "seeds": [0], "output_dir": str(tmp_path / "cosine_fl")}
+        summary = cli.run_experiment(cfg)
+        per_seed = summary["per_seed"]["0"]
+        assert per_seed["status"] == "completed"
+        last = {k: v[-1] for k, v in trainers.load_run(tmp_path / "cosine_fl" / "seed_0").trajectory.items()}
+        assert per_seed["sat_fraction"] == last["sat_fraction"]
+        assert per_seed["lam_fraction_zero"] == last["lam_frac_zero"]
 
     def test_user_supplied_csv_dataset(self, tmp_path):
         from feaslearn import data
@@ -300,8 +337,7 @@ class TestVerify:
 
     def test_slack_fault_injection_fails_props(self, monkeypatch, capsys):
         # a slack that is not lam / alpha does not minimize the slack-form value
-        monkeypatch.setattr(fs, "slack_view",
-                            lambda lam, alpha: fs.SlackView(u=np.asarray(lam) / alpha + 0.05))
+        monkeypatch.setattr(fs, "slack_view", lambda lam, alpha: np.asarray(lam) / alpha + 0.05)
         assert cli.main(["verify", "props"]) == cli.EXIT_VERIFY
         report = json.loads(capsys.readouterr().out)
         slack = next(c for c in report["checks"] if c["check"] == "slack_elimination_suite")

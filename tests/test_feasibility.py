@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from feaslearn import feasibility as fs
 from feaslearn import models, oracle
 from feaslearn.data import Batch
-from feaslearn.errors import NumericError, ParameterError
+from feaslearn.errors import NumericError, ParameterError, ShapeError
 
 nonneg_vec = st.lists(st.floats(0, 10), min_size=1, max_size=8).map(np.array)
 
@@ -26,19 +26,20 @@ class TestViolations:
 
 
 class TestDualSteps:
+    # fl's dual step is dual_step_rfl at alpha = inf.
     def test_fl_one_step(self):
-        out = fs.dual_step_fl(np.array([0.0]), np.array([0.29]), 0.1)
+        out = fs.dual_step_rfl(np.array([0.0]), np.array([0.29]), 0.1, math.inf)
         assert out[0] == pytest.approx(0.029)
 
     def test_fl_projection_clamps_at_zero(self):
-        out = fs.dual_step_fl(np.array([0.05]), np.array([-1.0]), 0.1)
+        out = fs.dual_step_rfl(np.array([0.05]), np.array([-1.0]), 0.1, math.inf)
         assert out[0] == 0.0
 
     def test_fl_feasible_fixed_point(self):
         lam = np.zeros(4)
         v = np.array([-0.1, -0.5, 0.0, -2.0])
         for _ in range(50):
-            lam = fs.dual_step_fl(lam, v, 0.3)
+            lam = fs.dual_step_rfl(lam, v, 0.3, math.inf)
         assert np.all(lam == 0.0)
 
     def test_rfl_one_step(self):
@@ -54,19 +55,18 @@ class TestDualSteps:
     def test_infinite_alpha_reproduces_fl_exactly(self):
         lam = np.array([0.2, 0.0, 1.5])
         v = np.array([0.3, -0.2, 0.05])
-        fl_out = fs.dual_step_fl(lam, v, 0.07)
-        rfl_out = fs.dual_step_rfl(lam, v, 0.07, math.inf)
-        assert np.array_equal(fl_out, rfl_out)
+        projected_ascent = np.maximum(lam + 0.07 * v, 0.0)
+        assert np.array_equal(fs.dual_step_rfl(lam, v, 0.07, math.inf), projected_ascent)
 
     def test_rejects_bad_steps(self):
         with pytest.raises(ParameterError):
-            fs.dual_step_fl(np.zeros(1), np.zeros(1), 0.0)
+            fs.dual_step_rfl(np.zeros(1), np.zeros(1), 0.0, math.inf)
         with pytest.raises(ParameterError):
             fs.dual_step_rfl(np.zeros(1), np.zeros(1), 0.1, 0.0)
 
     def test_non_finite_update_raises_numeric_error(self):
         with pytest.raises(NumericError):
-            fs.dual_step_fl(np.array([1e308]), np.array([1e308]), 1e5)
+            fs.dual_step_rfl(np.array([1e308]), np.array([1e308]), 1e5, math.inf)
 
     def test_non_finite_update_names_given_ids(self):
         with pytest.raises(NumericError, match=r"at \[7\]") as info:
@@ -97,12 +97,13 @@ class TestDualSteps:
 
 
 class TestLagrangians:
+    # At alpha = inf the regularized value is fl's plain lam^T (g - eps).
     def test_zero_multipliers_give_zero(self):
-        assert fs.lagrangian_fl([0.3, 0.9], 0.5, np.zeros(2)) == 0.0
+        assert fs.lagrangian_alpha([0.3, 0.9], 0.5, np.zeros(2), math.inf) == 0.0
         assert fs.lagrangian_alpha([0.3, 0.9], 0.5, np.zeros(2), 2.0) == 0.0
 
     def test_hand_value(self):
-        assert fs.lagrangian_fl([0.6], 0.51, [0.18]) == pytest.approx(0.0162)
+        assert fs.lagrangian_alpha([0.6], 0.51, [0.18], math.inf) == pytest.approx(0.0162)
 
     def test_feasible_point_keeps_value_nonpositive(self):
         rng = np.random.default_rng(0)
@@ -110,7 +111,11 @@ class TestLagrangians:
             g = rng.uniform(0, 1, 4)
             eps = g + rng.uniform(0, 1, 4)  # strictly feasible
             lam = rng.uniform(0, 5, 4)
-            assert fs.lagrangian_fl(g, eps, lam) <= 0.0
+            assert fs.lagrangian_alpha(g, eps, lam, math.inf) <= 0.0
+
+    def test_length_mismatch_is_a_shape_error(self):
+        with pytest.raises(ShapeError):
+            fs.lagrangian_alpha([0.6, 0.2], 0.51, [0.18], 2.0)
 
     def test_regularized_hand_value(self):
         assert fs.lagrangian_alpha([0.6], 0.51, [0.18], 2.0) == pytest.approx(0.0081)
@@ -183,17 +188,17 @@ class TestAnalyticDualOpt:
 
 class TestSlackView:
     def test_zero_multipliers_zero_slack(self):
-        assert np.all(fs.slack_view(np.zeros(3), 2.0).u == 0.0)
+        assert np.all(fs.slack_view(np.zeros(3), 2.0) == 0.0)
 
     def test_recovers_violation_at_optimum(self):
-        u = fs.slack_view(np.array([0.18]), 2.0).u
+        u = fs.slack_view(np.array([0.18]), 2.0)
         assert u[0] == pytest.approx(0.09)
         assert u[0] == pytest.approx(max(0.6 - 0.51, 0.0))
 
     @settings(max_examples=30, deadline=None)
     @given(lam=nonneg_vec, alpha=st.floats(0.01, 100))
     def test_always_nonnegative(self, lam, alpha):
-        assert fs.slack_view(lam, alpha).u.min() >= 0.0
+        assert fs.slack_view(lam, alpha).min() >= 0.0
 
     def test_undefined_without_finite_alpha(self):
         with pytest.raises(ParameterError):
@@ -237,7 +242,7 @@ class TestEnvelopeGradient:
 
 class TestBookkeepingTypes:
     def test_constraint_spec_broadcast(self):
-        spec = fs.ConstraintSpec.uniform(0.2, 5)
+        spec = fs.ConstraintSpec(np.broadcast_to(0.2, (5,)))
         assert spec.values.shape == (5,)
         assert np.all(spec.values == 0.2)
         assert spec.slice([1, 3]).tolist() == [0.2, 0.2]

@@ -77,35 +77,6 @@ class TestCvar:
             assert metrics.cvar(dominating, q) >= metrics.cvar(dominated, q) - 1e-12
 
 
-class TestSummary:
-    def test_all_zero(self):
-        out = metrics.summary([0.0, 0.0, 0.0])
-        assert out == {"mean": 0.0, "max": 0.0}
-
-    def test_mean_and_max(self):
-        out = metrics.summary([0.1, 0.5])
-        assert out["mean"] == pytest.approx(0.3)
-        assert out["max"] == pytest.approx(0.5)
-
-    def test_max_is_worst_case_objective(self):
-        losses = np.array([0.2, 1.7, 0.4])
-        assert metrics.summary(losses)["max"] == losses.max()
-
-    def test_accuracy_from_correctness_mask(self):
-        out = metrics.summary([0.1, 0.2, 0.3, 0.4], correct=[True, True, False, True])
-        assert out["accuracy"] == pytest.approx(0.75)
-
-    def test_uniform_random_classifier_accuracy(self):
-        # Monte Carlo across seeds: accuracy hovers near 1/C
-        C, n = 4, 2000
-        for seed in range(5):
-            rng = np.random.default_rng(seed)
-            guesses = rng.integers(0, C, size=n)
-            labels = rng.integers(0, C, size=n)
-            acc = metrics.summary(np.zeros(n), correct=(guesses == labels))["accuracy"]
-            assert abs(acc - 1.0 / C) <= 0.05
-
-
 class TestMultiplierStats:
     def test_all_zero_vector(self):
         out = metrics.multiplier_stats(np.zeros(10), k=3)

@@ -98,7 +98,7 @@ def _slack_inner_min_one_call_per_candidate(g, eps, alpha, n_perturbations, tol,
     lam_draws.append(lam_star)
     worst_gap, worst_identity = -math.inf, 0.0
     for lam_vec in lam_draws:
-        u_opt = fs.slack_view(lam_vec, alpha).u
+        u_opt = fs.slack_view(lam_vec, alpha)
         base = fs.lagrangian_rfl_slack(g, eps, u_opt, lam_vec, alpha)
         worst_identity = max(worst_identity, abs(base - fs.lagrangian_alpha(g, eps, lam_vec, alpha)))
         grid = np.linspace(0.0, max(1.0, float(u_opt.max()) * 2.0), 21)
@@ -135,7 +135,7 @@ def test_slack_inner_min_matches_per_candidate_loop(case):
 
 
 def test_slack_inner_min_fails_on_non_optimal_slack(monkeypatch):
-    monkeypatch.setattr(fs, "slack_view", lambda lam, alpha: fs.SlackView(u=np.asarray(lam) / alpha + 0.05))
+    monkeypatch.setattr(fs, "slack_view", lambda lam, alpha: np.asarray(lam) / alpha + 0.05)
     report = oracle.check_slack_inner_min(np.array([0.9, 0.2, 1.4]), 0.3, 2.0)
     assert not report["passed"]
     assert report["worst_inner_gap"] > 1e-10

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -173,6 +174,7 @@ class TestStepProtocol:
             assert inter.trajectory == seq.trajectory
             assert np.array_equal(inter.params.theta, seq.params.theta)
             assert np.array_equal(inter.multipliers.lam, seq.multipliers.lam)
+            assert inter.train_pass_counts == seq.train_pass_counts
 
     @pytest.mark.parametrize("n", [37, 601])
     def test_epoch_statistics_equal_np_mean_bitwise(self, n):
@@ -187,10 +189,11 @@ class TestStepProtocol:
         logits = model.forward(record.params.theta, train_ds.features)
         assert 0 < last["lam_frac_zero"] < 1
         assert last["train_mean_loss"] == float(np.mean(record.final_train_losses))
+        assert last["train_max_loss"] == float(record.final_train_losses.max())
         assert last["test_mean_loss"] == float(np.mean(record.final_test_losses))
-        assert last["sat_fraction"] == float(np.mean(record.final_train_losses <= 0.3 + cfg.sat_tol))
+        assert last["sat_fraction"] == float(np.mean(record.final_train_losses <= 0.3 + fs.SAT_TOL))
         assert last["lam_mean"] == float(np.mean(lam))
-        assert last["lam_frac_zero"] == float(np.mean(lam <= 1e-12))
+        assert last["lam_frac_zero"] == float(np.mean(lam <= fs.ZERO_MULTIPLIER_TOL))
         assert last["train_accuracy"] == float(np.mean(logits.argmax(axis=1) == train_ds.targets))
 
     def test_determinism_bitwise(self):
@@ -221,6 +224,29 @@ class TestCostParity:
         assert counts["erm"] == counts["fl"] == counts["rfl"] == counts["cserm"]
         steps = 4 * 4  # epochs * ceil(60/16)
         assert counts["erm"] == {"forward": steps, "backward": steps}
+
+    def test_shared_step_reaches_trainer_and_gradient_oracle(self, monkeypatch):
+        # train() and weighted_loss_grad take their backward pass through
+        # models.weighted_grad, so doubling its output doubles both. Under erm
+        # with plain SGD that is the run with twice the step size, bit for bit.
+        ds = _line_dataset()
+        model = models.LinearModel(1)
+        batch = data.Batch(ds.ids, ds.features, ds.targets)
+        weights, theta = np.linspace(0.1, 1.0, ds.n_samples), np.array([0.3])
+
+        def run(eta):
+            cfg = TrainerConfig(method="erm", eta_theta=eta, epochs=5, primal_optimizer="sgd")
+            return train(cfg, model, ds).params.theta
+
+        theta_plain, theta_double_eta = run(0.01), run(0.02)
+        grad = models.weighted_loss_grad(model, theta, batch, weights, models.SQUARED_ERROR)
+        real = models.weighted_grad
+        monkeypatch.setattr(models, "weighted_grad", lambda *args: 2.0 * real(*args))
+        patched = run(0.01)
+        assert not np.array_equal(patched, theta_plain)
+        assert np.array_equal(patched, theta_double_eta)
+        assert np.array_equal(
+            models.weighted_loss_grad(model, theta, batch, weights, models.SQUARED_ERROR), 2.0 * grad)
 
 
 class TestEquivalentTrajectories:
@@ -268,6 +294,27 @@ class TestInfeasibleDynamics:
         record = train(cfg, model, ds)
         assert record.aborted
         assert len(record.trajectory) < 50
+
+
+class TestEvalSplit:
+    # A stand-in model whose predictions are its input rows, so the logits are given.
+    identity = SimpleNamespace(forward_cache=lambda theta, features: (features, None))
+
+    def _accuracy(self, logits, labels):
+        rows = data.Batch(np.arange(len(labels)), logits, labels)
+        return trainers._eval_split(self.identity, None, rows, models.CROSS_ENTROPY)[1]
+
+    def test_accuracy_from_logits(self):
+        logits = np.array([[2.0, 0.0], [0.0, 1.0], [3.0, -1.0], [0.5, 0.2]])
+        assert self._accuracy(logits, np.array([0, 1, 1, 0])) == 0.75
+
+    def test_uniform_random_classifier_accuracy(self):
+        # Monte Carlo across seeds: accuracy hovers near 1/C
+        C, n = 4, 2000
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            acc = self._accuracy(rng.normal(size=(n, C)), rng.integers(0, C, size=n))
+            assert abs(acc - 1.0 / C) <= 0.05
 
 
 class TestFeasibilityReport:
