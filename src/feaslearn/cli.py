@@ -17,7 +17,6 @@ import argparse
 import copy
 import dataclasses
 import json
-import math
 import os
 import sys
 
@@ -46,24 +45,15 @@ CONFIG_DEFAULTS = {
     "seeds": [0, 1, 2, 3, 4],
 }
 
-# TrainerConfig's defaults: method has none, and each run takes its seed from "seeds".
-TRAINER_DEFAULTS = {f.name: f.default for f in dataclasses.fields(tr.TrainerConfig)
-                    if f.name not in ("method", "seed")}
-_TRAINER_KEYS = set(TRAINER_DEFAULTS) | {"method"}
-
 
 def _fail(path: str, message: str):
     raise ConfigError(f"config field '{path}': {message}")
 
 
-def _is_number(value, integer: bool = False) -> bool:
-    return not isinstance(value, bool) and isinstance(value, int if integer else (int, float))
-
-
 def _number(section: dict, path: str, key: str, default, integer: bool = False):
     """``section[key]``, or ``default`` when absent; a number, an integer if ``integer``."""
     value = section.get(key, default)
-    if not _is_number(value, integer):
+    if not tr.is_number(value, integer):
         _fail(f"{path}.{key}", f"must be {'an integer' if integer else 'a number'}, got {value!r}")
     return value
 
@@ -90,41 +80,41 @@ def load_config(source) -> dict:
     merged.update(cfg)
     merged["split"] = {**CONFIG_DEFAULTS["split"], **cfg.get("split", {})}
     merged["metrics"] = {**CONFIG_DEFAULTS["metrics"], **cfg.get("metrics", {})}
-    merged["trainer"] = {**TRAINER_DEFAULTS, **cfg.get("trainer", {})}
+    trainer = cfg.get("trainer", {})
 
     if "dataset" not in merged:
         _fail("dataset", "required")
-    if "seed" in merged["trainer"]:
+    if "seed" in trainer:
         _fail("trainer.seed", "not allowed; the run seeds come from 'seeds'")
-    unknown = sorted(set(merged["trainer"]) - _TRAINER_KEYS)
+    unknown = sorted(set(trainer) - {f.name for f in dataclasses.fields(tr.TrainerConfig)})
     if unknown:
         _fail(f"trainer.{unknown[0]}", "unknown trainer field")
-    if "method" not in merged["trainer"]:
+    if "method" not in trainer:
         _fail("trainer.method", "required")
-    if merged["trainer"]["method"] not in tr.METHODS:
-        _fail("trainer.method", f"must be one of {tr.METHODS}")
+    try:
+        merged["trainer"] = {k: v for k, v in tr.TrainerConfig(**trainer).echo().items() if k != "seed"}
+    except ParameterError as err:
+        _fail("trainer", str(err))
     seeds = merged["seeds"]
-    if not isinstance(seeds, list) or not seeds or any(not _is_number(s, True) or s < 0 for s in seeds):
+    if not isinstance(seeds, list) or not seeds or any(not tr.is_number(s, True) or s < 0 for s in seeds):
         _fail("seeds", "must be a non-empty list of non-negative integers")
     repeated = sorted({s for s in seeds if seeds.count(s) > 1})
     if repeated:
         _fail("seeds", f"repeated seeds {repeated}")
     quantiles = merged["metrics"]["quantiles"]
-    if not isinstance(quantiles, list) or any(not _is_number(q) or not 0.0 <= q < 1.0 for q in quantiles):
+    if not isinstance(quantiles, list) or any(not tr.is_number(q) or not 0.0 <= q < 1.0 for q in quantiles):
         _fail("metrics.quantiles", "must be a list of quantiles in [0, 1)")
     frac = merged["split"]["test_fraction"]
-    if not _is_number(frac) or not 0.0 <= frac < 1.0:
+    if not tr.is_number(frac) or not 0.0 <= frac < 1.0:
         _fail("split.test_fraction", "must lie in [0, 1)")
     for path, seed in (("dataset.seed", merged["dataset"].get("seed")),
                        ("split.seed", merged["split"]["seed"])):
-        if seed is not None and not (_is_number(seed, True) and seed >= 0):
+        if seed is not None and not (tr.is_number(seed, True) and seed >= 0):
             _fail(path, "must be a non-negative integer or null")
-    alpha = merged["trainer"]["alpha"]
-    if alpha in ("inf", None):
-        merged["trainer"]["alpha"] = math.inf
-    elif not _is_number(alpha) or alpha <= 0:
-        _fail("trainer.alpha", "must be a positive number, 'inf', or null")
-    merged.setdefault("output_dir", os.path.join("runs", merged["name"]))
+    merged.setdefault("output_dir", os.path.join("runs", str(merged["name"])))
+    for key in ("name", "output_dir"):
+        if not isinstance(merged[key], str):
+            _fail(key, f"must be a string, got {merged[key]!r}")
     return merged
 
 
@@ -148,6 +138,8 @@ def build_dataset(cfg: dict, run_seed: int) -> tuple[dt.Dataset, dt.Dataset | No
             full = dt.gen_conflicting_pairs(arg("n_pairs", 8, True), arg("d", 2, True),
                                             arg("label_gap", 2.0), seed)
         elif gen == "csv" or "path" in dcfg:
+            if not isinstance(dcfg.get("path"), str):
+                _fail("dataset.path", f"required for csv: a file path, got {dcfg.get('path')!r}")
             full = dt.load_dataset_csv(dcfg["path"], dcfg.get("task", dt.REGRESSION))
         else:
             _fail("dataset.generator", f"unknown generator {gen!r}")
@@ -160,6 +152,8 @@ def build_dataset(cfg: dict, run_seed: int) -> tuple[dt.Dataset, dt.Dataset | No
                                           seed, out.get("placement", "random"))
     except ParameterError as err:
         raise ConfigError(f"config field 'dataset': {err}")
+    except (OSError, UnicodeDecodeError) as err:
+        _fail("dataset.path", f"cannot read: {err}")
     frac = cfg["split"]["test_fraction"]
     if frac == 0.0:
         return full, None
@@ -180,13 +174,13 @@ def build_model(cfg: dict, dataset: dt.Dataset) -> md.Model:
         if family == "poly":
             domain = mcfg.get("domain")
             if domain is not None and not (isinstance(domain, list) and len(domain) == 2
-                                           and all(map(_is_number, domain))):
+                                           and all(map(tr.is_number, domain))):
                 _fail("model.domain", f"must be [lo, hi] or null, got {domain!r}")
             return md.PolyModel(_number(mcfg, "model", "degree", 3, True), mcfg.get("basis", "chebyshev"),
                                 tuple(domain) if domain is not None else None)
         if family == "mlp":
             layers = mcfg.get("layers")
-            if not isinstance(layers, list) or not all(_is_number(w, True) for w in layers):
+            if not isinstance(layers, list) or not all(tr.is_number(w, True) for w in layers):
                 _fail("model.layers", f"required for mlp: a list of integer widths, got {layers!r}")
             return md.MLP(tuple(layers), task=dataset.task)
     except ParameterError as err:
@@ -336,7 +330,10 @@ def compare(run_dirs, quantiles=None, out_dir="comparison", svg: bool = False) -
         raise ConfigError("compare needs at least one run directory")
     quantiles = sorted(quantiles if quantiles is not None else
                        [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99])
-    runs = [tr.load_run(d) for d in run_dirs]
+    try:
+        runs = [tr.load_run(d) for d in run_dirs]
+    except OSError as err:
+        raise ConfigError(f"cannot read run directory: {err}")
     signatures = [json.dumps(r.config.get("dataset_signature"), sort_keys=True) for r in runs]
     if any(s == "null" for s in signatures):
         raise ConfigError("run directories lack dataset signatures; re-run training to compare")
@@ -355,11 +352,10 @@ def compare(run_dirs, quantiles=None, out_dir="comparison", svg: bool = False) -
     curves: dict[str, dict] = {}
     for label, members in sorted(groups.items()):
         for split in ("train", "test"):
-            pools = [getattr(m, f"{split}_losses") for m in members]
-            pools = [p for p in pools if p is not None]
-            if not pools:
+            done = [m for m in members if getattr(m, f"{split}_losses") is not None]
+            if not done:
                 continue
-            pooled = np.concatenate(pools)
+            pooled = np.concatenate([getattr(m, f"{split}_losses") for m in done])
             cdf_pts = mt.empirical_cdf(pooled)
             cvar_pts = [(q, mt.cvar(pooled, q)) for q in quantiles]
             _write_curve_csv(os.path.join(out_dir, f"cdf_{label}_{split}.csv"),
@@ -367,11 +363,11 @@ def compare(run_dirs, quantiles=None, out_dir="comparison", svg: bool = False) -
             _write_curve_csv(os.path.join(out_dir, f"cvar_{label}_{split}.csv"),
                              [p[0] for p in cvar_pts], [p[1] for p in cvar_pts])
             curves.setdefault(split, {})[label] = {"cdf": cdf_pts, "cvar": cvar_pts}
-            means = [float(getattr(m, f"{split}_losses").mean()) for m in members]
-            maxes = [float(getattr(m, f"{split}_losses").max()) for m in members]
-            accs = [m.trajectory[f"{split}_accuracy"][-1] for m in members
+            means = [float(getattr(m, f"{split}_losses").mean()) for m in done]
+            maxes = [float(getattr(m, f"{split}_losses").max()) for m in done]
+            accs = [m.trajectory[f"{split}_accuracy"][-1] for m in done
                     if len(m.trajectory["epoch"]) and np.isfinite(m.trajectory[f"{split}_accuracy"][-1:]).all()]
-            row = {"method": label, "split": split, "n_runs": len(members),
+            row = {"method": label, "split": split, "n_runs": len(done),
                    "mean_loss": float(np.mean(means)), "mean_loss_std": float(np.std(means)),
                    "max_loss": float(np.mean(maxes)), "max_loss_std": float(np.std(maxes))}
             if accs:
@@ -565,7 +561,7 @@ def main(argv=None) -> int:
             path = gen_config(args.template, args.out)
             print(f"wrote {path}")
             return EXIT_OK
-    except ConfigError as err:
+    except (ConfigError, ParameterError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK

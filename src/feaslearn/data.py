@@ -303,11 +303,20 @@ def load_dataset_csv(path, task: str) -> Dataset:
     """Load a dataset previously written by :func:`save_dataset_csv` (or user data)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if len(header) < 3 or header[0] != "id" or header[-1] != "target":
-            raise ParameterError("expected header id,feat_0..feat_{d-1},target")
-        rows = [row for row in reader if row]
-    ids = np.array([int(r[0]) for r in rows], dtype=np.int64)
-    features = np.array([[float(v) for v in r[1:-1]] for r in rows], dtype=np.float64)
-    targets = np.array([float(r[-1]) for r in rows], dtype=np.float64)
-    return Dataset(features=features, targets=targets, ids=ids, task=task)
+            raise ParameterError(f"{path} line 1: expected header id,feat_0..feat_{{d-1}},target")
+        rows = []
+        for row in filter(None, reader):
+            where = f"{path} line {reader.line_num}"
+            if len(row) != len(header):
+                raise ParameterError(f"{where}: {len(row)} cells, the header has {len(header)}")
+            try:
+                rows.append((int(row[0]), [float(v) for v in row[1:-1]], float(row[-1])))
+            except ValueError as err:
+                raise ParameterError(f"{where}: {err}")
+    if not rows:
+        raise ParameterError(f"{path}: no data rows")
+    ids, features, targets = zip(*rows)
+    return Dataset(features=np.array(features, dtype=np.float64),
+                   targets=np.array(targets, dtype=np.float64), ids=np.array(ids, dtype=np.int64), task=task)

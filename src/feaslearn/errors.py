@@ -5,7 +5,7 @@ class ParameterError(ValueError):
     """An argument is outside its documented domain."""
 
 
-class ShapeError(ValueError):
+class ShapeError(ParameterError):
     """Array dimensions are inconsistent with the model or dataset."""
 
 

@@ -28,27 +28,6 @@ SAT_TOL = 1e-8
 ZERO_MULTIPLIER_TOL = 1e-12
 
 
-def _as_eps(spec) -> np.ndarray | float:
-    if isinstance(spec, ConstraintSpec):
-        return spec.values
-    return np.asarray(spec, dtype=np.float64) if np.ndim(spec) else float(spec)
-
-
-@dataclass
-class ConstraintSpec:
-    """Per-sample loss bounds. Scalars broadcast to a full vector at load time."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.atleast_1d(np.asarray(self.values, dtype=np.float64))
-        if (self.values < 0).any():
-            raise ParameterError("constraint levels must be non-negative")
-
-    def slice(self, ids) -> np.ndarray:
-        return self.values[np.asarray(ids, dtype=np.int64)]
-
-
 @dataclass
 class MultiplierState:
     """One non-negative multiplier per training sample, zero-initialized."""
@@ -67,7 +46,7 @@ class MultiplierState:
 
 def violations(g, spec) -> np.ndarray:
     """g - eps elementwise; positive entries are unsatisfied constraints."""
-    return np.asarray(g, dtype=np.float64) - _as_eps(spec)
+    return np.asarray(g, dtype=np.float64) - np.asarray(spec, dtype=np.float64)
 
 
 def dual_step_rfl(lam, v, eta_lam: float, alpha: float, ids=None) -> np.ndarray:

@@ -24,7 +24,7 @@ def empirical_quantile(losses, q: float) -> float:
     if losses.size == 0:
         raise ParameterError("quantile of an empty loss vector")
     if not 0.0 <= q < 1.0:
-        raise ParameterError("q must lie in [0, 1)")
+        raise ParameterError(f"quantile q must lie in [0, 1), got {q!r}")
     idx = max(int(np.ceil(q * losses.size)), 1)
     return float(np.sort(losses)[idx - 1])
 

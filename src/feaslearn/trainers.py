@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -39,6 +40,7 @@ METHODS = (ERM, FL, RFL, CSERM)
 SGD = "sgd"
 SGD_MOMENTUM = "sgd_momentum"
 ADAMW = "adamw"
+OPTIMIZERS = (SGD, SGD_MOMENTUM, ADAMW)
 # Descriptive alias accepted in configs for the decoupled-decay adaptive
 # optimizer.
 _OPTIMIZER_ALIASES = {"adaptive_moments_decoupled_decay": ADAMW}
@@ -52,8 +54,26 @@ TRAJECTORY_COLUMNS = [
 ]
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def is_number(value, integer: bool = False) -> bool:
+    """A number, an integer if ``integer``, as configs spell them: booleans are not numbers."""
+    return isinstance(value, numbers.Integral if integer else numbers.Real) and not isinstance(value, bool)
+
+
+# What a TrainerConfig field admits, by its name or else by the type of its
+# default: ints count as floats, and booleans are not numbers. train() checks
+# the length of eps; dtype=object keeps a ragged list from raising here.
+_ADMITS = {
+    float: (is_number, "a number"),
+    int: (lambda v: is_number(v, True) and v >= 0, "a non-negative integer"),
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    "method": (lambda v: v in METHODS, f"one of {METHODS}"),
+    "alpha": (lambda v: is_number(v) and v > 0, "a positive number, 'inf' or null"),
+    "eps": (lambda v: all(is_number(e) and e >= 0 for e in np.asarray(v, dtype=object).flat),
+            "a non-negative number or a list of them"),
+    "batch_size": (lambda v: v is None or is_number(v, True) and v > 0, "a positive integer or null"),
+    "primal_optimizer": (lambda v: isinstance(v, str) and _OPTIMIZER_ALIASES.get(v, v) in OPTIMIZERS,
+                         f"one of {OPTIMIZERS}"),
+}
 
 
 @dataclass
@@ -61,7 +81,7 @@ class TrainerConfig:
     method: str
     eta_theta: float = 1e-3
     eta_lambda: float = 1e-2
-    alpha: float = math.inf
+    alpha: float = math.inf  # also "inf", as echo() writes it, or None
     eps: float | list | np.ndarray = 0.0
     batch_size: int | None = None
     epochs: int = 100
@@ -73,27 +93,23 @@ class TrainerConfig:
     analytic_dual: bool = False
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ParameterError(f"method must be one of {METHODS}")
+        if self.alpha in ("inf", None):
+            self.alpha = math.inf
+        for f in fields(self):
+            admits, kind = _ADMITS.get(f.name) or _ADMITS[type(f.default)]
+            if not admits(getattr(self, f.name)):
+                raise ParameterError(f"{f.name} must be {kind}, got {getattr(self, f.name)!r}")
         self.primal_optimizer = _OPTIMIZER_ALIASES.get(self.primal_optimizer, self.primal_optimizer)
-        if self.primal_optimizer not in (SGD, SGD_MOMENTUM, ADAMW):
-            raise ParameterError(f"unknown primal optimizer {self.primal_optimizer!r}")
         if not self.eta_theta > 0:
             raise ParameterError("eta_theta must be positive")
         if self.method in (FL, RFL) and not self.eta_lambda > 0:
             raise ParameterError("eta_lambda must be positive for fl/rfl")
         if self.method == FL:
             self.alpha = math.inf
-        if self.method in (RFL, CSERM) and not (self.alpha > 0 and math.isfinite(self.alpha)):
+        if self.method in (RFL, CSERM) and math.isinf(self.alpha):
             raise ParameterError("rfl/cserm need a finite positive alpha")
         if self.analytic_dual and self.method != RFL:
             raise ParameterError("analytic_dual only applies to rfl")
-        if not _is_int(self.epochs) or self.epochs < 0:
-            raise ParameterError(f"epochs must be a non-negative integer, got {self.epochs!r}")
-        if self.batch_size is not None and not (_is_int(self.batch_size) and self.batch_size > 0):
-            raise ParameterError(f"batch_size must be a positive integer or null, got {self.batch_size!r}")
-        if self.seed < 0:
-            raise ParameterError("seed must be non-negative")
 
     def echo(self) -> dict:
         out = asdict(self)
@@ -195,7 +211,7 @@ def _eval_split(model, theta, rows: Batch, kind):
 
 
 def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
-          test_ds: Dataset | None = None, theta0: np.ndarray | None = None) -> RunRecord:
+          test_ds: Dataset | None = None) -> RunRecord:
     """Run the full epoch budget of the configured method.
 
     Within every step the batch losses are computed once, the multipliers of
@@ -211,11 +227,10 @@ def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
     kind = _loss_kind(train_ds)
     n = train_ds.n_samples
     try:
-        eps_vec = np.broadcast_to(np.asarray(config.eps, dtype=np.float64), (n,)).copy()
+        eps = np.broadcast_to(np.asarray(config.eps, dtype=np.float64), (n,)).copy()
     except ValueError:
         raise ParameterError(f"eps must be a scalar or a length-{n} vector")
-    spec = fs.ConstraintSpec(eps_vec)
-    theta = np.array(theta0, dtype=np.float64) if theta0 is not None else model.init_params(config.seed)
+    theta = model.init_params(config.seed)
     mult = fs.MultiplierState.zeros(n)
     optimizer = _make_optimizer(config)
     batch_size = config.batch_size if config.batch_size is not None else n
@@ -239,7 +254,7 @@ def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
                 preds, cache = model.forward_cache(theta, batch.features)
                 passes["forward"] += 1
                 g = models.per_sample_loss(kind, preds, batch.targets, batch.ids)
-                eps_b = spec.slice(batch.ids)
+                eps_b = eps[batch.ids]
                 v = fs.violations(g, eps_b)
                 max_step_violation = max(max_step_violation, float(v.max()))
 
@@ -289,7 +304,7 @@ def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
             "train_mean_loss": float(train_losses.sum()) / n,
             "train_max_loss": float(train_losses.max()),
             "train_accuracy": train_acc,
-            "sat_fraction": np.count_nonzero(train_losses <= spec.values + fs.SAT_TOL) / n,
+            "sat_fraction": np.count_nonzero(train_losses <= eps + fs.SAT_TOL) / n,
             "max_step_violation": max_step_violation,
             "lam_min": float(mult.lam.min()),
             "lam_mean": float(mult.lam.sum()) / n,

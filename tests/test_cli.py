@@ -58,9 +58,16 @@ class TestConfigLoading:
                              "metrics": {"quantiles": [1.5]}})
 
     def test_alpha_inf_string(self):
+        # the trainer section is TrainerConfig's echo, which spells alpha = inf "inf"
+        for alpha in ("inf", None, 3.0):
+            cfg = cli.load_config({"dataset": {"generator": "two_moons"},
+                                   "trainer": {"method": "fl", "alpha": alpha}})
+            assert cfg["trainer"]["alpha"] == "inf"
         cfg = cli.load_config({"dataset": {"generator": "two_moons"},
-                               "trainer": {"method": "fl", "alpha": "inf"}})
-        assert cfg["trainer"]["alpha"] == float("inf")
+                               "trainer": {"method": "rfl", "alpha": 2.0,
+                                           "primal_optimizer": "adaptive_moments_decoupled_decay"}})
+        assert cfg["trainer"]["alpha"] == 2.0 and cfg["trainer"]["primal_optimizer"] == "adamw"
+        assert "seed" not in cfg["trainer"]
 
     def test_templates_all_load(self):
         for name, template in cli.config_templates().items():
@@ -144,6 +151,7 @@ class TestRunExperiment:
         path.write_text(json.dumps(_tiny_config(tmp_path, seeds=(0,), eta_theta=-1.0)))
         assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
         assert "eta_theta must be positive" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "tiny_fl")
 
     @pytest.mark.parametrize("key,value", [("lr", 0.1), ("seed", 3)])
     def test_bad_trainer_key_exits_two(self, tmp_path, capsys, key, value):
@@ -195,16 +203,100 @@ class TestRunExperiment:
         ("model", "degree", "x", "'model.degree'"),
         ("trainer", "epochs", 2.5, "epochs must be a non-negative integer"),
         ("trainer", "batch_size", 0, "batch_size must be a positive integer"),
+        ("trainer", "eta_theta", "x", "eta_theta must be a number"),
+        ("trainer", "primal_optimizer", [1], "primal_optimizer must be one of"),
+        ("trainer", "cosine_decay", "yes", "cosine_decay must be true or false"),
+        ("trainer", "momentum", "x", "momentum must be a number"),
+        ("trainer", "weight_decay", "x", "weight_decay must be a number"),
+        ("trainer", "analytic_dual", "no", "analytic_dual must be true or false"),
+        ("trainer", "eta_lambda", "x", "eta_lambda must be a number"),  # on erm, which ignores it
     ])
     def test_mistyped_value_exits_two(self, tmp_path, capsys, section, key, value, named):
         cfg = _tiny_config(tmp_path, seeds=(0,))
         if key == "degree":
             cfg["model"] = {"family": "poly"}
+        if key == "eta_lambda":
+            cfg["trainer"]["method"] = "erm"
+            cfg["output_dir"] = str(tmp_path / "tiny_fl")
         cfg.setdefault(section, {})[key] = value
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
         assert named in capsys.readouterr().err
+        if section == "trainer":  # rejected before anything is written
+            assert not os.path.exists(tmp_path / "tiny_fl")
+
+    @pytest.mark.parametrize("key,value", [("name", 3), ("output_dir", 5)])
+    def test_non_string_name_or_output_dir_exits_two(self, tmp_path, capsys, key, value):
+        cfg = _tiny_config(tmp_path, seeds=(0,))
+        if key == "name":
+            del cfg["output_dir"]
+        cfg[key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+        assert f"'{key}': must be a string" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model,named", [
+        ({"family": "mlp", "layers": [3, 4, 2]}, "expected input width 3"),
+        ({"family": "linear"}, "cross_entropy expects (n, C) logits"),
+        ({"family": "poly"}, "polynomial models take a single input feature"),
+    ])
+    def test_shape_mismatch_exits_two(self, tmp_path, capsys, model, named):
+        cfg = _tiny_config(tmp_path, seeds=(0,))
+        cfg["model"] = model
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content,named", [
+        (None, "'dataset.path': required for csv"),
+        ("missing", "'dataset.path': cannot read"),
+        ("", "line 1: expected header"),
+        ("id,feat_0,target\n0,0.5,1.0\n1,abc,2.0\n", "line 3: could not convert string to float: 'abc'"),
+        # a decoding error under a UTF-8 locale, a bad header under others
+        (b"\xff\xfeid,feat_0,target\n", "config field 'dataset"),
+    ], ids=["no_path", "missing_file", "empty_file", "non_numeric_cell", "not_utf8"])
+    def test_bad_csv_dataset_exits_two(self, tmp_path, capsys, content, named):
+        dataset = {"generator": "csv", "task": "regression"}
+        if content is not None:
+            dataset["path"] = str(tmp_path / "data.csv")
+            if isinstance(content, bytes):
+                (tmp_path / "data.csv").write_bytes(content)
+            elif content != "missing":
+                (tmp_path / "data.csv").write_text(content)
+        cfg = {"name": "csv_run", "dataset": dataset, "model": {"family": "linear"},
+               "trainer": {"method": "erm", "eta_theta": 0.05, "epochs": 2},
+               "seeds": [0], "output_dir": str(tmp_path / "csv_run")}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+        assert named in capsys.readouterr().err
+
+    def test_summary_json_is_strict_json(self, tmp_path):
+        cfg = _tiny_config(tmp_path, seeds=(0,))
+        summary = cli.run_experiment(cfg)
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        text = open(os.path.join(summary["output_dir"], "summary.json")).read()
+        assert json.loads(text, parse_constant=reject)["config"]["trainer"]["alpha"] == "inf"
+
+    @pytest.mark.parametrize("method,extra", [
+        ("erm", {}), ("fl", {"alpha": 2.0}), ("rfl", {"alpha": 2.0}),
+        ("cserm", {"alpha": 2.0, "eps": [0.3] * 36}),
+    ])
+    def test_config_json_rebuilds_its_trainer_config(self, tmp_path, method, extra):
+        cfg = _tiny_config(tmp_path, method=method, seeds=(0, 1), **extra)
+        summary = cli.run_experiment(cfg)
+        for seed in (0, 1):
+            with open(os.path.join(summary["output_dir"], f"seed_{seed}", "config.json")) as fh:
+                echoed = json.load(fh)
+            fields = {k: v for k, v in echoed.items() if k not in ("dataset_signature", "experiment")}
+            assert trainers.TrainerConfig(**fields).echo() == fields
+            assert summary["config"]["trainer"] == {k: v for k, v in fields.items() if k != "seed"}
 
     def test_label_beyond_output_width_exits_two(self, tmp_path, capsys):
         # two_moons labels are 0 and 1; a one-output classifier cannot index label 1
@@ -302,6 +394,40 @@ class TestCompare:
         with pytest.raises(ConfigError, match="signatures"):
             cli.compare(dirs, out_dir=str(tmp_path / "cmp"))
         assert cli.main(["compare", *dirs, "--out", str(tmp_path / "cmp2")]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("q", ["1.0", "-0.5"])
+    def test_quantile_outside_unit_interval_exits_two(self, tmp_path, capsys, q):
+        cfg = _tiny_config(tmp_path, seeds=(0,))
+        cli.run_experiment(cfg)
+        out = tmp_path / "cmp"
+        code = cli.main(["compare", os.path.join(cfg["output_dir"], "seed_0"),
+                         "--quantiles", q, "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert f"quantile q must lie in [0, 1), got {float(q)}" in capsys.readouterr().err
+
+    def test_missing_run_dir_exits_two(self, tmp_path, capsys):
+        missing = str(tmp_path / "nowhere" / "seed_0")
+        assert cli.main(["compare", missing, "--out", str(tmp_path / "cmp")]) == cli.EXIT_CONFIG
+        assert "cannot read run directory" in capsys.readouterr().err
+
+    def test_aborted_run_without_final_losses_is_left_out_of_the_table(self, tmp_path):
+        def cosine(name, eta_theta):
+            return {"name": name,
+                    "dataset": {"generator": "noisy_cosine", "n": 20, "sigma": 0.2, "seed": 0},
+                    "split": {"test_fraction": 0.25, "seed": 0}, "model": {"family": "linear"},
+                    "trainer": {"method": "erm", "eta_theta": eta_theta, "epochs": 50},
+                    "seeds": [0], "output_dir": str(tmp_path / name)}
+
+        cli.run_experiment(cosine("done", 0.01))
+        assert cli.run_experiment(cosine("diverged", 1e30))["any_aborted"]
+        done, diverged = (str(tmp_path / name / "seed_0") for name in ("done", "diverged"))
+        assert trainers.load_run(diverged).train_losses is None
+        alone = cli.compare([done], out_dir=str(tmp_path / "alone"))
+        pooled = cli.compare([done, diverged], out_dir=str(tmp_path / "pooled"))
+        assert pooled["n_runs"] == 2
+        assert [row["n_runs"] for row in pooled["table"]] == [1, 1]
+        assert pooled["table"] == alone["table"]
+        assert (tmp_path / "pooled" / "table.csv").read_text() == (tmp_path / "alone" / "table.csv").read_text()
 
     def test_svg_rendering(self, tmp_path):
         dirs = self._two_method_runs(tmp_path)

@@ -279,3 +279,16 @@ class TestCsvRoundTrip:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ParameterError):
             data.load_dataset_csv(path, data.REGRESSION)
+
+    @pytest.mark.parametrize("content,named", [
+        ("", "line 1: expected header"),
+        ("id,feat_0,target\n0,0.5,1.0\n1,abc,2.0\n", "line 3: could not convert string to float"),
+        ("id,feat_0,target\n0,0.5,1.0\n\n1,2.0\n", "line 4: 2 cells, the header has 3"),
+        ("id,feat_0,target\n0.5,0.5,1.0\n", "line 2: invalid literal for int"),
+        ("id,feat_0,target\n", "no data rows"),
+    ], ids=["empty", "non_numeric_cell", "short_row", "non_integer_id", "header_only"])
+    def test_malformed_file_names_the_line(self, tmp_path, content, named):
+        path = tmp_path / "bad.csv"
+        path.write_text(content)
+        with pytest.raises(ParameterError, match=named):
+            data.load_dataset_csv(path, data.REGRESSION)

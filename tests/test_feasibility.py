@@ -241,16 +241,6 @@ class TestEnvelopeGradient:
 
 
 class TestBookkeepingTypes:
-    def test_constraint_spec_broadcast(self):
-        spec = fs.ConstraintSpec(np.broadcast_to(0.2, (5,)))
-        assert spec.values.shape == (5,)
-        assert np.all(spec.values == 0.2)
-        assert spec.slice([1, 3]).tolist() == [0.2, 0.2]
-
-    def test_constraint_spec_rejects_negative(self):
-        with pytest.raises(ParameterError):
-            fs.ConstraintSpec(np.array([0.1, -0.2]))
-
     def test_multiplier_state_starts_at_zero(self):
         state = fs.MultiplierState.zeros(4)
         assert np.all(state.lam == 0.0)

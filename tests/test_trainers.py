@@ -44,6 +44,54 @@ class TestConfigValidation:
         with pytest.raises(ParameterError):
             TrainerConfig(method="fl", analytic_dual=True)
 
+    def test_alpha_spelled_inf_or_null_is_infinite(self):
+        for alpha in ("inf", None):
+            cfg = TrainerConfig(method="erm", alpha=alpha)
+            assert cfg.alpha == math.inf and cfg.echo()["alpha"] == "inf"
+        with pytest.raises(ParameterError, match="alpha"):
+            TrainerConfig(method="rfl", alpha="INF")
+
+    @pytest.mark.parametrize("field,value", [
+        ("eta_theta", True), ("epochs", True), ("epochs", -1), ("seed", 1.0),
+        ("cosine_decay", 1), ("primal_optimizer", None), ("method", ["fl"]),
+        ("eps", [0.1, "x"]), ("eps", [[0.1], [0.2, 0.3]]),
+    ])
+    def test_fields_are_type_checked(self, field, value):
+        with pytest.raises(ParameterError, match=f"^{field} must be"):
+            TrainerConfig(**{"method": "erm", field: value})
+
+    def test_numpy_and_int_values_are_accepted(self):
+        cfg = TrainerConfig(method="fl", eta_theta=1, epochs=np.int64(3), batch_size=np.int32(2),
+                            eps=np.array([0.1, 0.2]))
+        assert cfg.echo()["eps"] == [0.1, 0.2]
+
+    def test_scalar_eps_is_broadcast(self):
+        ds = _line_dataset()
+        kw = dict(method="fl", eta_theta=0.05, eta_lambda=0.5, epochs=5, batch_size=4, seed=0)
+        scalar = train(TrainerConfig(eps=0.2, **kw), models.LinearModel(1), ds)
+        vector = train(TrainerConfig(eps=[0.2] * ds.n_samples, **kw), models.LinearModel(1), ds)
+        assert scalar.trajectory == vector.trajectory
+        assert np.array_equal(scalar.multipliers.lam, vector.multipliers.lam)
+        assert np.array_equal(scalar.params.theta, vector.params.theta)
+
+    def test_per_sample_eps_follows_sample_ids(self):
+        # only sample 5 has a bound its loss violates, so only its multiplier may grow,
+        # whichever batch position it lands in
+        ds = _line_dataset()
+        eps = [1e6] * 5 + [0.0]
+        cfg = TrainerConfig(method="fl", eta_theta=1e-3, eta_lambda=0.5, eps=eps, epochs=3,
+                            batch_size=2, seed=0)
+        lam = train(cfg, models.LinearModel(1), ds).multipliers.lam
+        assert lam[5] > 0.0 and np.all(lam[:5] == 0.0)
+
+    def test_negative_eps_rejected(self):
+        with pytest.raises(ParameterError, match="eps"):
+            train(TrainerConfig(method="fl", eps=[0.1, -0.2]), models.LinearModel(1), _line_dataset(2))
+
+    def test_eps_of_the_wrong_length_rejected(self):
+        with pytest.raises(ParameterError, match="length-6"):
+            train(TrainerConfig(method="fl", eps=[0.1, 0.2]), models.LinearModel(1), _line_dataset())
+
 
 class TestFixedPoints:
     @pytest.mark.parametrize("optimizer", ["sgd", "adamw"])
