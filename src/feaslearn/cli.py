@@ -201,6 +201,7 @@ def _seed_metrics(cfg: dict, record: tr.RunRecord, model: md.Model,
     quantiles = cfg["metrics"]["quantiles"]
     eps = np.asarray(record.config["eps"], dtype=np.float64)
     out = {"status": record.status, "wall_clock_s": record.wall_clock_s}
+    logits = {}
     for split, losses, ds in (("train", record.final_train_losses, train_ds),
                               ("test", record.final_test_losses, test_ds)):
         if losses is None:
@@ -210,8 +211,8 @@ def _seed_metrics(cfg: dict, record: tr.RunRecord, model: md.Model,
         for q in quantiles:
             out[f"{split}_cvar_{q}"] = mt.cvar(losses, q)
         if ds is not None and ds.task == dt.CLASSIFICATION:
-            preds = model.forward(record.params.theta, ds.features)
-            out[f"{split}_accuracy"] = float(np.mean(preds.argmax(axis=1) == ds.targets))
+            logits[split] = model.forward(record.params.theta, ds.features)
+            out[f"{split}_accuracy"] = float(np.mean(logits[split].argmax(axis=1) == ds.targets))
     if record.final_train_losses is not None:
         out["sat_fraction"] = float(np.mean(record.final_train_losses <= eps + fs.SAT_TOL))
     lam = record.multipliers.lam
@@ -219,8 +220,7 @@ def _seed_metrics(cfg: dict, record: tr.RunRecord, model: md.Model,
     out["lam_max"] = float(lam.max())
     if (train_ds.task == dt.CLASSIFICATION and record.config["method"] in (tr.FL, tr.RFL)
             and record.final_train_losses is not None):
-        logits = model.forward(record.params.theta, train_ds.features)
-        margins = md.classification_margins(logits, train_ds.targets)
+        margins = md.classification_margins(logits["train"], train_ds.targets)
         rho, degenerate = mt.margin_multiplier_correlation(lam, margins)
         out["margin_multiplier_spearman"] = rho
         out["margin_corr_degenerate"] = degenerate
@@ -232,11 +232,11 @@ def run_experiment(config, output_root: str | None = None) -> dict:
 
     Returns the aggregate summary (also written to summary.json in the
     experiment output directory). Aborted runs keep their partial artifacts
-    and are flagged in the summary.
+    and are flagged in the summary. The output directory is made when the
+    first seed is saved, so a config that fails before then leaves none.
     """
     cfg = load_config(config)
     outdir = _resolve_output_dir(cfg, output_root)
-    os.makedirs(outdir, exist_ok=True)
     per_seed = {}
     any_aborted = False
     for seed in cfg["seeds"]:
@@ -248,7 +248,7 @@ def run_experiment(config, output_root: str | None = None) -> dict:
         except ParameterError as err:
             raise ConfigError(f"seed {seed}: {err}")
         record.config["experiment"] = {k: cfg[k] for k in ("name", "dataset", "split", "model", "metrics")}
-        tr.save_run(record, os.path.join(outdir, f"seed_{seed}"))
+        tr.save_run(record, os.path.join(outdir, f"seed_{seed}"))  # creates outdir too
         per_seed[str(seed)] = _seed_metrics(cfg, record, model, train_ds, test_ds)
         any_aborted = any_aborted or record.aborted
 
@@ -347,7 +347,6 @@ def compare(run_dirs, quantiles=None, out_dir="comparison", svg: bool = False) -
             label = f"{label}_alpha{run.config['alpha']}"
         groups.setdefault(label, []).append(run)
 
-    os.makedirs(out_dir, exist_ok=True)
     table = []
     curves: dict[str, dict] = {}
     for label, members in sorted(groups.items()):
@@ -358,10 +357,6 @@ def compare(run_dirs, quantiles=None, out_dir="comparison", svg: bool = False) -
             pooled = np.concatenate([getattr(m, f"{split}_losses") for m in done])
             cdf_pts = mt.empirical_cdf(pooled)
             cvar_pts = [(q, mt.cvar(pooled, q)) for q in quantiles]
-            _write_curve_csv(os.path.join(out_dir, f"cdf_{label}_{split}.csv"),
-                             [p[0] for p in cdf_pts], [p[1] for p in cdf_pts])
-            _write_curve_csv(os.path.join(out_dir, f"cvar_{label}_{split}.csv"),
-                             [p[0] for p in cvar_pts], [p[1] for p in cvar_pts])
             curves.setdefault(split, {})[label] = {"cdf": cdf_pts, "cvar": cvar_pts}
             means = [float(getattr(m, f"{split}_losses").mean()) for m in done]
             maxes = [float(getattr(m, f"{split}_losses").max()) for m in done]
@@ -375,6 +370,13 @@ def compare(run_dirs, quantiles=None, out_dir="comparison", svg: bool = False) -
                 row["accuracy_std"] = float(np.std(accs))
             table.append(row)
 
+    # Everything is computed, so a bad quantile has raised before anything is written.
+    os.makedirs(out_dir, exist_ok=True)
+    for split, by_label in curves.items():
+        for label, c in by_label.items():
+            for kind in ("cdf", "cvar"):
+                _write_curve_csv(os.path.join(out_dir, f"{kind}_{label}_{split}.csv"),
+                                 [p[0] for p in c[kind]], [p[1] for p in c[kind]])
     with open(os.path.join(out_dir, "table.csv"), "w") as fh:
         cols = ["method", "split", "n_runs", "mean_loss", "mean_loss_std",
                 "max_loss", "max_loss_std", "accuracy", "accuracy_std"]

@@ -202,12 +202,21 @@ def _featurized(model: models.Model, dataset: Dataset) -> Batch:
     return Batch(dataset.ids, model.featurize(dataset.features), dataset.targets)
 
 
-def _eval_split(model, theta, rows: Batch, kind):
-    preds, _ = model.forward_cache(theta, rows.features)
-    losses = models.per_sample_loss(kind, preds, rows.targets, rows.ids)
+def _accuracy(preds, targets, kind) -> float:
     if kind == models.CROSS_ENTROPY:
-        return losses, np.count_nonzero(preds.argmax(axis=1) == rows.targets) / len(losses)
-    return losses, math.nan
+        return np.count_nonzero(preds.argmax(axis=1) == targets) / len(targets)
+    return math.nan
+
+
+def _forward(model, theta, rows: Batch, kind):
+    """(preds, cache, per-sample losses) of one forward pass over ``rows``."""
+    preds, cache = model.forward_cache(theta, rows.features)
+    return preds, cache, models.per_sample_loss(kind, preds, rows.targets, rows.ids)
+
+
+def _eval_split(model, theta, rows: Batch, kind):
+    preds, _, losses = _forward(model, theta, rows, kind)
+    return losses, _accuracy(preds, rows.targets, kind)
 
 
 def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
@@ -218,7 +227,9 @@ def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
     exactly the batch samples are updated (fl/rfl), and the primal step uses
     the freshly updated values. Deterministic for fixed config and seed.
     Both splits are featurized once, up front; every step and evaluation
-    then runs the model on rows of the featurized matrices.
+    then runs the model on rows of the featurized matrices. In full-batch
+    runs, each epoch-end train evaluation but the last is also the next
+    step's forward, so that step runs none of its own.
     Runs abort (status "aborted", reason recorded) on non-finite losses or
     parameters, or when any multiplier exceeds the blow-up threshold.
     """
@@ -244,6 +255,9 @@ def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
     abort_reason = abort = None
     passes = {"forward": 0, "backward": 0}
     step_idx = 0
+    # (preds, cache, losses) of a full-batch epoch-end train forward: the next
+    # step runs at the same theta on the same rows, so it is that step's forward.
+    ahead = None
     start = time.perf_counter()
 
     for epoch in range(config.epochs):
@@ -251,9 +265,11 @@ def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
         try:
             epoch_seed = combine_seed(config.seed, epoch)
             for batch in batch_iter(train_rows, batch_size, epoch_seed, shuffle_rng):
-                preds, cache = model.forward_cache(theta, batch.features)
-                passes["forward"] += 1
-                g = models.per_sample_loss(kind, preds, batch.targets, batch.ids)
+                if ahead is not None:
+                    (preds, cache, g), ahead = ahead, None
+                else:
+                    preds, cache, g = _forward(model, theta, batch, kind)
+                    passes["forward"] += 1
                 eps_b = eps[batch.ids]
                 v = fs.violations(g, eps_b)
                 max_step_violation = max(max_step_violation, float(v.max()))
@@ -291,7 +307,12 @@ def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
             break
 
         try:
-            train_losses, train_acc = _eval_split(model, theta, train_rows, kind)
+            if batch_size == n and epoch < config.epochs - 1:
+                ahead = _forward(model, theta, train_rows, kind)
+                passes["forward"] += 1
+                train_losses, train_acc = ahead[2], _accuracy(ahead[0], train_rows.targets, kind)
+            else:
+                train_losses, train_acc = _eval_split(model, theta, train_rows, kind)
             test_eval = _eval_split(model, theta, test_rows, kind) if test_rows is not None else None
         except NumericError as err:
             abort_reason = f"epoch-end evaluation failed: {err}"

@@ -249,6 +249,15 @@ class TestRunExperiment:
         path.write_text(json.dumps(cfg))
         assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
         assert named in capsys.readouterr().err
+        assert not os.path.exists(cfg["output_dir"])
+
+    def test_eps_of_the_wrong_length_exits_two_and_writes_nothing(self, tmp_path, capsys):
+        cfg = _tiny_config(tmp_path, seeds=(0,), eps=[0.3, 0.3])
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+        assert "eps must be a scalar or a length-36 vector" in capsys.readouterr().err
+        assert not os.path.exists(cfg["output_dir"])
 
     @pytest.mark.parametrize("content,named", [
         (None, "'dataset.path': required for csv"),
@@ -273,6 +282,7 @@ class TestRunExperiment:
         path.write_text(json.dumps(cfg))
         assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
         assert named in capsys.readouterr().err
+        assert not os.path.exists(cfg["output_dir"])
 
     def test_summary_json_is_strict_json(self, tmp_path):
         cfg = _tiny_config(tmp_path, seeds=(0,))
@@ -306,6 +316,18 @@ class TestRunExperiment:
         path.write_text(json.dumps(cfg))
         assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
         assert "output width 1" in capsys.readouterr().err
+        assert not os.path.exists(cfg["output_dir"])
+
+    @pytest.mark.parametrize("method", ["erm", "fl"])
+    def test_seed_metrics_forward_each_split_once(self, tmp_path, monkeypatch, method):
+        # accuracy and the fl margins share the train logits
+        calls = []
+        real = models.Model.forward
+        monkeypatch.setattr(models.Model, "forward",
+                            lambda self, theta, x: calls.append(len(x)) or real(self, theta, x))
+        summary = cli.run_experiment(_tiny_config(tmp_path, method=method, seeds=(0,)))
+        assert sorted(calls) == [12, 36]
+        assert ("margin_multiplier_spearman" in summary["per_seed"]["0"]) == (method == "fl")
 
     def test_summary_agrees_with_last_trajectory_row(self, tmp_path):
         cfg = {"name": "cosine_fl",
@@ -404,6 +426,7 @@ class TestCompare:
                          "--quantiles", q, "--out", str(out)])
         assert code == cli.EXIT_CONFIG
         assert f"quantile q must lie in [0, 1), got {float(q)}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_run_dir_exits_two(self, tmp_path, capsys):
         missing = str(tmp_path / "nowhere" / "seed_0")

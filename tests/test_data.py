@@ -131,7 +131,17 @@ class TestBatchIter:
         ds = data.gen_noisy_cosine(10, 0.1, 0)
         batches = list(data.batch_iter(ds, 10, 0))
         assert len(batches) == 1
-        assert sorted(batches[0].ids.tolist()) == list(range(10))
+        assert batches[0].ids.tolist() == list(range(10))
+        for got, rows in ((batches[0].ids, ds.ids), (batches[0].features, ds.features),
+                          (batches[0].targets, ds.targets)):
+            assert np.shares_memory(got, rows)
+
+    def test_full_batch_draws_nothing_from_the_generator(self):
+        ds = data.gen_noisy_cosine(10, 0.1, 0)
+        passed, untouched = data.epoch_rng(7), data.epoch_rng(7)
+        passed.random(3), untouched.random(3)
+        list(data.batch_iter(ds, 10, 0, passed))
+        assert np.array_equal(passed.random(4), untouched.random(4))
 
     def test_same_epoch_seed_reproduces_order(self):
         ds = data.gen_noisy_cosine(10, 0.1, 0)

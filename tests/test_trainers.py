@@ -124,6 +124,80 @@ class TestFixedPoints:
         assert np.allclose(record.params.theta, theta, rtol=0, atol=1e-14)
 
 
+class TestFullBatchEpochs:
+    """A full-batch step takes the rows in id order, and its forward is the
+    previous epoch's end-of-epoch train evaluation."""
+
+    METHOD_KW = {
+        "erm": {},
+        "fl": {"eta_lambda": 0.3},
+        "rfl": {"eta_lambda": 0.3, "alpha": 1.0},
+        "cserm": {"alpha": 1.0},
+    }
+
+    @staticmethod
+    def _poly_run(method, epochs):
+        train_ds, test_ds = data.split_train_test(data.gen_noisy_cosine(40, 0.2, 1), 0.25, 1)
+        cfg = TrainerConfig(method=method, eta_theta=5e-3, eps=0.05, epochs=epochs,
+                            primal_optimizer="sgd", seed=1, **TestFullBatchEpochs.METHOD_KW[method])
+        return train(cfg, models.PolyModel(6, "chebyshev", (0.0, 1.0)), train_ds, test_ds)
+
+    @staticmethod
+    def _mlp_run(method, epochs):
+        train_ds, test_ds = data.split_train_test(data.gen_two_moons(60, 0.2, 2), 0.25, 2)
+        cfg = TrainerConfig(method=method, eta_theta=2e-2, eps=0.3, epochs=epochs,
+                            primal_optimizer="adamw", seed=2, **TestFullBatchEpochs.METHOD_KW[method])
+        return train(cfg, models.MLP((2, 8, 2)), train_ds, test_ds)
+
+    def test_erm_equals_id_order_gradient_descent_bitwise(self):
+        ds = data.gen_noisy_cosine(600, 0.1, 0)
+        model = models.PolyModel(8, "chebyshev", (0.0, 1.0))
+        lr, epochs = 0.5, 50
+        cfg = TrainerConfig(method="erm", eta_theta=lr, epochs=epochs, primal_optimizer="sgd", seed=0)
+        record = train(cfg, model, ds)
+
+        phi, y, n = model.featurize(ds.features), ds.targets, ds.n_samples
+        theta = np.zeros(model.n_params)
+        for _ in range(epochs):
+            theta = theta - lr * (phi.T @ (np.full(n, 1.0 / n) * (2.0 * (phi @ theta - y))))
+        assert np.array_equal(record.params.theta, theta)
+
+    @pytest.mark.parametrize("run", ["_poly_run", "_mlp_run"])
+    @pytest.mark.parametrize("method", ["erm", "fl", "rfl", "cserm"])
+    def test_rows_equal_the_last_row_of_shorter_runs_bitwise(self, method, run):
+        # Row e of a longer run comes from the shared forward, the last row of
+        # an (e + 1)-epoch run from the final evaluation: the same numbers.
+        epochs = 4
+        full = getattr(self, run)(method, epochs)
+        assert full.status == "completed"
+        assert full.train_pass_counts == {"forward": epochs, "backward": epochs}
+        for e in range(epochs):
+            short = getattr(self, run)(method, e + 1)
+            assert [repr(v) for v in full.trajectory[e].values()] == \
+                [repr(v) for v in short.trajectory[-1].values()]
+            assert short.train_pass_counts == {"forward": e + 1, "backward": e + 1}
+        if run == "_mlp_run":
+            assert all(0 < row["train_accuracy"] <= 1 for row in full.trajectory)
+
+    @pytest.mark.parametrize("epochs", [1, 3])
+    def test_non_finite_epoch_end_forward_keeps_its_abort_record(self, epochs):
+        # One step takes theta to ~2e197, finite, but the row with x = 1e200
+        # (id 0) then predicts inf at the epoch-end forward, shared with the
+        # next step unless this is the last epoch.
+        ds = data.Dataset(features=np.array([[1.0], [1e200], [0.5]]), targets=np.ones(3),
+                          ids=np.array([2, 0, 1]), task=data.REGRESSION)
+        cfg = TrainerConfig(method="fl", eta_theta=1.0, eta_lambda=1e-3, eps=0.0,
+                            epochs=epochs, primal_optimizer="sgd", seed=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            record = train(cfg, models.LinearModel(1), ds)
+        assert record.status == "aborted"
+        assert record.abort_reason == \
+            "epoch-end evaluation failed: non-finite predictions for samples [0]"
+        assert record.abort == {"epoch": 0, "step": 1, "ids": [0]}
+        assert record.trajectory == []
+        assert np.isfinite(record.params.theta).all()
+
+
 class TestStepProtocol:
     def test_dual_first_ordering_on_one_parameter_model(self):
         # lam0 = 0: a primal-first scheme would freeze theta on step one,
