@@ -26,7 +26,9 @@ class Dataset:
     """Feature matrix, targets, and stable sample ids.
 
     Ids are always a permutation of 0..n-1; they index the per-sample
-    constraints and multipliers throughout training.
+    constraints and multipliers throughout training. The rows are kept in id
+    order (the constructor sorts rows given in another order), so row i is
+    sample i in every per-sample vector a run computes or writes.
     """
 
     features: np.ndarray
@@ -57,6 +59,9 @@ class Dataset:
             raise ParameterError(f"unknown task {self.task!r}")
         if self.targets.shape != (n,):
             raise ShapeError("targets must be a vector with one entry per sample")
+        if not np.array_equal(self.ids, np.arange(n)):  # rows given out of id order
+            order = np.argsort(self.ids)
+            self.features, self.targets, self.ids = self.features[order], self.targets[order], self.ids[order]
 
     @property
     def n_samples(self) -> int:

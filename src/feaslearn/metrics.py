@@ -64,11 +64,21 @@ def margin_multiplier_correlation(lam, margins) -> tuple[float, bool]:
     margins = np.asarray(margins, dtype=np.float64)
     if lam.shape != margins.shape:
         raise ParameterError("multipliers and margins must have equal length")
-    if np.all(lam == lam[0]) or np.all(margins == margins[0]):
+    if (np.all(lam == lam[0]) or np.all(margins == margins[0])
+            or np.isnan(lam).any() or np.isnan(margins).any()):
         return 0.0, True
-    from scipy import stats  # only classification fl/rfl runs need it; it is slow to import
+    # The Pearson correlation of average ranks, computed the way
+    # scipy.stats.spearmanr computes it (bit-equal), without its import cost.
+    ranks = np.column_stack((_average_ranks(lam), _average_ranks(-margins)))
+    return float(np.corrcoef(ranks, rowvar=False)[1, 0]), False
 
-    rho = stats.spearmanr(lam, -margins).statistic
-    if not np.isfinite(rho):
-        return 0.0, True
-    return float(rho), False
+
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of x; tied values share the mean of the ranks they span."""
+    order = np.argsort(x, kind="stable")
+    sorted_x = x[order]
+    starts = np.flatnonzero(np.r_[True, sorted_x[1:] != sorted_x[:-1]])
+    ends = np.r_[starts[1:], x.size]
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks

@@ -131,6 +131,7 @@ class RunRecord:
     abort_reason: str | None
     wall_clock_s: float
     train_pass_counts: dict
+    phase_s: dict = field(default_factory=dict)  # perf_counter seconds per phase
     metadata: dict = field(default_factory=dict)
     abort: dict | None = None  # {"epoch", "step", "ids"} of an aborted run
 
@@ -255,6 +256,8 @@ def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
     abort_reason = abort = None
     passes = {"forward": 0, "backward": 0}
     step_idx = 0
+    clock = time.perf_counter
+    t_forward = t_dual = t_backward = t_step = t_eval = 0.0
     # (preds, cache, losses) of a full-batch epoch-end train forward: the next
     # step runs at the same theta on the same rows, so it is that step's forward.
     ahead = None
@@ -265,11 +268,13 @@ def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
         try:
             epoch_seed = combine_seed(config.seed, epoch)
             for batch in batch_iter(train_rows, batch_size, epoch_seed, shuffle_rng):
+                t0 = clock()
                 if ahead is not None:
                     (preds, cache, g), ahead = ahead, None
                 else:
                     preds, cache, g = _forward(model, theta, batch, kind)
                     passes["forward"] += 1
+                t1 = clock()
                 eps_b = eps[batch.ids]
                 v = fs.violations(g, eps_b)
                 max_step_violation = max(max_step_violation, float(v.max()))
@@ -292,8 +297,10 @@ def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
                 else:
                     weights = np.full(len(batch), 1.0 / len(batch))
 
+                t2 = clock()
                 grad = models.weighted_grad(model, cache, preds, batch.targets, weights, kind)
                 passes["backward"] += 1
+                t3 = clock()
                 lr = config.eta_theta
                 if config.cosine_decay:
                     lr *= 0.5 * (1.0 + math.cos(math.pi * step_idx / total_steps))
@@ -301,15 +308,24 @@ def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
                 if not np.all(np.isfinite(theta)):
                     raise NumericError("parameters became non-finite after primal step")
                 step_idx += 1
+                t4 = clock()
+                t_forward += t1 - t0
+                t_dual += t2 - t1
+                t_backward += t3 - t2
+                t_step += t4 - t3
         except NumericError as err:
             abort_reason, abort = str(err), {"epoch": epoch, "step": step_idx, "ids": err.ids}
         if abort is not None:
             break
 
+        t0 = clock()
         try:
             if batch_size == n and epoch < config.epochs - 1:
                 ahead = _forward(model, theta, train_rows, kind)
                 passes["forward"] += 1
+                t1 = clock()  # the next step's forward, timed as one
+                t_forward += t1 - t0
+                t0 = t1
                 train_losses, train_acc = ahead[2], _accuracy(ahead[0], train_rows.targets, kind)
             else:
                 train_losses, train_acc = _eval_split(model, theta, train_rows, kind)
@@ -341,16 +357,19 @@ def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
             row["test_max_loss"] = float(test_losses.max())
             row["test_accuracy"] = test_acc
         trajectory.append(row)
+        t_eval += clock() - t0
 
     final_train = final_test = None
+    t0 = clock()
     try:
         final_train, _ = _eval_split(model, theta, train_rows, kind)
         if test_rows is not None:
             final_test, _ = _eval_split(model, theta, test_rows, kind)
     except NumericError:
         pass  # aborted runs keep whatever is computable
+    t_eval += clock() - t0
 
-    wall = time.perf_counter() - start
+    wall = clock() - start
     config_echo = config.echo()
     config_echo["dataset_signature"] = {
         "train": train_ds.signature(),
@@ -367,6 +386,8 @@ def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
         abort_reason=abort_reason,
         wall_clock_s=wall,
         train_pass_counts=passes,
+        phase_s={"forward_loss": t_forward, "dual_update": t_dual, "backward": t_backward,
+                 "optimizer_step": t_step, "epoch_eval": t_eval},
         abort=abort,
         metadata={
             "loss_kind": kind,
@@ -398,6 +419,7 @@ def save_run(record: RunRecord, outdir) -> None:
     are removed first and written last, so a directory whose writing failed
     part-way never reads as completed, even one that held an earlier run.
     """
+    start = time.perf_counter()
     os.makedirs(outdir, exist_ok=True)
     meta_path, status_path = os.path.join(outdir, "meta.json"), os.path.join(outdir, "status.txt")
     for path in (status_path, meta_path):
@@ -419,6 +441,7 @@ def save_run(record: RunRecord, outdir) -> None:
             for i, value in enumerate(values if values is not None else ()):
                 fh.write(f"{i},{float(value)!r}\n")
     models.save_checkpoint(os.path.join(outdir, "checkpoint.bin"), record.params)
+    persist = time.perf_counter() - start
     with open(meta_path, "w") as fh:
         json.dump({
             "status": record.status,
@@ -426,6 +449,7 @@ def save_run(record: RunRecord, outdir) -> None:
             "abort": record.abort,
             "wall_clock_s": record.wall_clock_s,
             "train_pass_counts": record.train_pass_counts,
+            "phase_s": {**record.phase_s, "persist": persist},
             "metadata": record.metadata,
         }, fh, indent=2, sort_keys=True)
         fh.write("\n")

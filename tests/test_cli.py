@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -370,6 +371,162 @@ class TestRunExperiment:
         assert os.path.exists(summary["output_dir"])
 
 
+class TestIdOrder:
+    """A CSV whose rows are not in id order: every per-sample output follows the ids."""
+
+    def _run(self, tmp_path, capsys, rows, task, model, trainer):
+        csv_path = tmp_path / "permuted.csv"
+        csv_path.write_text("id,feat_0,feat_1,target\n" + "".join(f"{r}\n" for r in rows))
+        cfg = {"name": "permuted", "dataset": {"generator": "csv", "path": str(csv_path), "task": task},
+               "model": model, "trainer": trainer, "seeds": [0],
+               "output_dir": str(tmp_path / "permuted")}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", str(path)]) == cli.EXIT_OK
+        capsys.readouterr()
+        with open(tmp_path / "permuted" / "summary.json") as fh:
+            summary = json.load(fh)
+        return summary["per_seed"]["0"], trainers.load_run(tmp_path / "permuted" / "seed_0")
+
+    def test_losses_and_sat_fraction_follow_ids(self, tmp_path, capsys):
+        # id 2 is 5 off its target and its eps is 100: every constraint holds,
+        # so no multiplier moves and theta stays 0
+        per_seed, run = self._run(tmp_path, capsys, ["2,0.0,0.0,5.0", "0,0.0,0.0,0.0", "1,0.0,0.0,0.0"],
+                                  "regression", {"family": "linear"},
+                                  {"method": "fl", "eps": [0.0, 0.0, 100.0], "epochs": 2})
+        assert run.train_losses.tolist() == [0.0, 0.0, 25.0]
+        assert run.trajectory["sat_fraction"].tolist() == [1.0, 1.0]
+        assert per_seed["sat_fraction"] == 1.0
+
+    def test_margin_correlation_pairs_multipliers_and_margins_by_id(self, tmp_path, capsys):
+        from scipy import stats
+        rng = np.random.default_rng(0)
+        ids = rng.permutation(24)
+        x = rng.normal(size=(24, 2))
+        labels = (x[:, 0] + 0.3 * rng.normal(size=24) > 0).astype(int)
+        rows = [f"{i},{float(a)!r},{float(b)!r},{y}" for i, (a, b), y in zip(ids, x, labels)]
+        per_seed, run = self._run(tmp_path, capsys, rows, "classification",
+                                  {"family": "mlp", "layers": [2, 5, 2]},
+                                  {"method": "fl", "eta_theta": 0.05, "eta_lambda": 0.5, "eps": 0.3,
+                                   "epochs": 20})
+        model = models.model_from_descriptor(run.params.descriptor)
+        by_id = np.argsort(ids)
+        margins = models.classification_margins(model.forward(run.params.theta, x[by_id]), labels[by_id])
+        assert not per_seed["margin_corr_degenerate"]
+        assert per_seed["margin_multiplier_spearman"] == stats.spearmanr(run.multipliers, -margins).statistic
+
+
+class TestParallelSeeds:
+    """Seeds train in forked workers, at most min(len(seeds), os.cpu_count()) of them."""
+
+    @staticmethod
+    def _seed_files(seed_dir):
+        files = {}
+        for name in sorted(os.listdir(seed_dir)):
+            with open(os.path.join(seed_dir, name), "rb") as fh:
+                files[name] = fh.read()
+        meta = json.loads(files.pop("meta.json"))
+        del meta["wall_clock_s"], meta["phase_s"]
+        return files, meta
+
+    @staticmethod
+    def _without_wall_clock(summary):
+        summary = json.loads(json.dumps(summary))
+        for metrics in summary["per_seed"].values():
+            del metrics["wall_clock_s"]
+        del summary["aggregate"]["wall_clock_s"], summary["output_dir"], summary["config"]["output_dir"]
+        return summary
+
+    @pytest.mark.parametrize("method", ["fl", "rfl"])
+    def test_seed_dirs_are_byte_identical_to_single_seed_runs(self, tmp_path, monkeypatch, method):
+        def run(out, seeds):
+            cfg = _tiny_config(tmp_path, method, seeds=seeds, **({"alpha": 2.0} if method == "rfl" else {}))
+            return cli.run_experiment(dict(cfg, output_dir=str(tmp_path / out)))
+
+        together = run("together", (0, 1, 2))
+        for seed in (0, 1, 2):
+            alone = run(f"alone_{seed}", (seed,))
+            assert self._seed_files(tmp_path / "together" / f"seed_{seed}") == \
+                self._seed_files(tmp_path / f"alone_{seed}" / f"seed_{seed}")
+            assert together["per_seed"][str(seed)].keys() == alone["per_seed"][str(seed)].keys()
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)  # the same seeds, one after another
+        assert self._without_wall_clock(together) == self._without_wall_clock(run("in_process", (0, 1, 2)))
+
+    @pytest.mark.parametrize("failing", [{1}, {0}, {1, 2}], ids=["seed1", "seed0", "seeds1and2"])
+    @pytest.mark.parametrize("pooled", [True, False], ids=["pool", "in_process"])
+    @pytest.mark.parametrize("where", ["build_dataset", "_seed_metrics"])  # before or after save_run
+    def test_error_on_any_seed_exits_two_and_leaves_nothing(self, tmp_path, capsys, monkeypatch,
+                                                            failing, pooled, where):
+        real = getattr(cli, where)
+
+        def fails_on_some_seeds(cfg, *args):  # forked workers inherit the patch
+            seed = args[0].config["seed"] if where == "_seed_metrics" else args[0]
+            if seed == 1 and 2 in failing:
+                time.sleep(0.3)  # seed 2 fails first, but seed 1 is reported
+            if seed in failing:
+                raise ConfigError(f"no data for seed {seed}")
+            return real(cfg, *args)
+
+        monkeypatch.setattr(cli, where, fails_on_some_seeds)
+        if not pooled:
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        cfg = _tiny_config(tmp_path, seeds=(0, 1, 2))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: no data for seed {min(failing)}\n"
+        assert not os.path.exists(cfg["output_dir"])
+        # an output directory that was there before stays, without the seed dirs this call wrote
+        os.makedirs(cfg["output_dir"])
+        (tmp_path / "tiny_fl" / "notes.txt").write_text("kept\n")
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+        assert os.listdir(cfg["output_dir"]) == ["notes.txt"]
+
+    def test_daemonic_caller_runs_its_seeds_in_process(self, tmp_path):
+        # a multiprocessing pool's worker is daemonic and may not start processes of its own
+        import multiprocessing
+        ctx = multiprocessing.get_context("fork")
+        results = ctx.Queue()
+
+        def run():
+            try:
+                results.put(sorted(cli.run_experiment(_tiny_config(tmp_path, seeds=(0, 1)))["per_seed"]))
+            except Exception as err:
+                results.put(repr(err))
+
+        worker = ctx.Process(target=run, daemon=True)
+        worker.start()
+        assert results.get(timeout=60) == ["0", "1"]
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+
+    @pytest.mark.parametrize("cpus,workers", [(None, None), (1, None), (2, 2), (3, 3), (8, 3)])
+    def test_pool_is_bounded_by_seeds_and_cpus(self, tmp_path, monkeypatch, cpus, workers):
+        import concurrent.futures
+        made = []
+
+        class InProcessPool:
+            def __init__(self, max_workers, mp_context):
+                made.append((max_workers, mp_context.get_start_method()))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        summary = cli.run_experiment(_tiny_config(tmp_path, seeds=(0, 1, 2)))
+        assert made == ([] if workers is None else [(workers, "fork")])
+        assert sorted(summary["per_seed"]) == ["0", "1", "2"]
+
+
 class TestCompare:
     def _two_method_runs(self, tmp_path):
         fl_cfg = _tiny_config(tmp_path, method="fl")
@@ -524,8 +681,13 @@ class TestGenConfig:
         assert not summary["any_aborted"]
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    code = "import sys, feaslearn.cli; print('scipy.stats' in sys.modules)"
+def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
+    # and so does a classification fl run, which computes the margin correlation
+    cfg = _tiny_config(tmp_path, seeds=(0,))
+    code = ("import sys, feaslearn.cli\n"
+            "print('scipy.stats' in sys.modules)\n"
+            f"summary = feaslearn.cli.run_experiment({cfg!r})\n"
+            "print('margin_multiplier_spearman' in summary['per_seed']['0'], 'scipy.stats' in sys.modules)\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "True", "False"]

@@ -239,6 +239,19 @@ class TestDatasetContract:
                           ids=np.arange(2), task="classification")
         assert ds.targets.dtype == np.int64 and ds.targets.tolist() == [0, 1]
 
+    def test_rows_are_kept_in_id_order(self):
+        ds = data.Dataset(features=np.array([[2.0], [0.0], [1.0]]), targets=np.array([20.0, 0.0, 10.0]),
+                          ids=np.array([2, 0, 1]), task="regression")
+        assert ds.ids.tolist() == [0, 1, 2]
+        assert ds.features[:, 0].tolist() == [0.0, 1.0, 2.0]
+        assert ds.targets.tolist() == [0.0, 10.0, 20.0]
+
+    def test_id_ordered_rows_are_not_copied(self):
+        # generated datasets are already in id order: their arrays stay as built
+        features, targets = np.zeros((3, 1)), np.arange(3.0)
+        ds = data.Dataset(features=features, targets=targets, ids=np.arange(3), task="regression")
+        assert ds.features is features and ds.targets is targets
+
     def test_signature_changes_with_data(self):
         a = data.gen_noisy_cosine(10, 0.1, 0)
         b = data.gen_noisy_cosine(10, 0.1, 1)
@@ -283,6 +296,14 @@ class TestCsvRoundTrip:
         back = data.load_dataset_csv(path, data.CLASSIFICATION)
         assert np.array_equal(back.features, ds.features)
         assert np.array_equal(back.targets, ds.targets)
+
+    def test_rows_written_out_of_id_order_load_in_id_order(self, tmp_path):
+        path = tmp_path / "permuted.csv"
+        path.write_text("id,feat_0,target\n2,0.2,5.0\n0,0.0,0.0\n1,0.1,0.0\n")
+        back = data.load_dataset_csv(path, data.REGRESSION)
+        assert back.ids.tolist() == [0, 1, 2]
+        assert back.features[:, 0].tolist() == [0.0, 0.1, 0.2]
+        assert back.targets.tolist() == [0.0, 0.0, 5.0]
 
     def test_loader_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"

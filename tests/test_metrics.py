@@ -119,3 +119,32 @@ class TestMarginCorrelation:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ParameterError):
             metrics.margin_multiplier_correlation(np.zeros(3), np.zeros(4))
+
+    @pytest.mark.parametrize("ties", [False, True])
+    @pytest.mark.parametrize("n", [3, 7, 300])
+    def test_bit_equal_to_scipy_spearmanr(self, n, ties):
+        from scipy import stats
+        rng = np.random.default_rng(n)
+        lam, margins = rng.exponential(size=n), rng.normal(size=n)
+        if ties:  # many exact zeros, as fl multipliers have, and repeated margins
+            lam[: n // 2] = 0.0
+            margins = np.round(margins, 1)
+        rho, degenerate = metrics.margin_multiplier_correlation(lam, margins)
+        assert not degenerate
+        assert rho == stats.spearmanr(lam, -margins).statistic
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(-3, 3)), min_size=3, max_size=40))
+    def test_bit_equal_to_scipy_spearmanr_on_tied_draws(self, pairs):
+        from scipy import stats
+        lam, margins = np.array(pairs, dtype=np.float64).T
+        rho, degenerate = metrics.margin_multiplier_correlation(lam, margins)
+        if degenerate:
+            assert rho == 0.0
+            assert np.all(lam == lam[0]) or np.all(margins == margins[0])
+        else:
+            assert rho == stats.spearmanr(lam, -margins).statistic
+
+    def test_nan_input_is_degenerate(self):
+        assert metrics.margin_multiplier_correlation(
+            np.array([0.0, 1.0, 2.0]), np.array([1.0, np.nan, 0.0])) == (0.0, True)

@@ -510,6 +510,19 @@ class TestRunRecordPersistence:
         meta = (outdir / "meta.json").read_text() if (outdir / "meta.json").exists() else ""
         assert '"status": "completed"' not in meta
 
+    @pytest.mark.parametrize("batch_size", [None, 4])
+    def test_meta_json_splits_the_time_into_phases(self, tmp_path, batch_size):
+        cfg = TrainerConfig(method="fl", eta_theta=0.01, eta_lambda=0.1, eps=0.1,
+                            batch_size=batch_size, epochs=20, seed=0)
+        record = train(cfg, models.LinearModel(1), _line_dataset(), _line_dataset(4, 1.0))
+        trainers.save_run(record, tmp_path / "r")
+        meta = trainers.load_run(tmp_path / "r").meta
+        phases = meta["phase_s"]
+        assert set(phases) == {"forward_loss", "dual_update", "backward", "optimizer_step",
+                               "epoch_eval", "persist"}
+        assert all(phases[name] > 0.0 for name in phases)
+        assert sum(phases.values()) <= meta["wall_clock_s"] + phases["persist"]
+
     def test_zero_epochs_emit_initial_state(self, tmp_path):
         ds = _line_dataset()
         model = models.LinearModel(1)
