@@ -249,12 +249,39 @@ def _run_seed(cfg: dict, outdir: str, seed: int) -> tuple[dict, bool]:
         raise
 
 
+PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
+
+
+def _die_with_parent(parent_pid: int) -> None:
+    """Pool worker initializer: on Linux, have the kernel kill this worker with
+    SIGKILL as soon as the process that forked it is gone.
+
+    Without it, a worker whose parent was killed alone (SIGKILL or SIGTERM to
+    the parent's pid) trains on, writes a seed directory that no summary will
+    name, and then blocks for good on the pool's call queue, which its
+    siblings keep open. Elsewhere a worker is not tied to its parent.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    import ctypes
+    import signal
+
+    libc = ctypes.CDLL(None, use_errno=True)
+    libc.prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
+    libc.prctl.restype = ctypes.c_int
+    if libc.prctl(PR_SET_PDEATHSIG, signal.SIGKILL) != 0:
+        raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
+    if os.getppid() != parent_pid:  # the parent was gone before the signal was armed
+        os._exit(1)
+
+
 def _run_seeds(cfg: dict, outdir: str) -> list[tuple[dict, bool]]:
     """``_run_seed`` of every seed of ``cfg``, in config order.
 
     More than one seed trains in a pool of ``min(len(seeds), os.cpu_count())``
     forked processes, each writing its own seed directory; forked workers
-    start with this process's modules imported, so they cost no import time.
+    start with this process's modules imported, so they cost no import time,
+    and on Linux they die with this process (see ``_die_with_parent``).
     Where fork is not available, in a daemonic process (a multiprocessing
     pool's worker, which may start no process), or when the bound allows one
     worker, the seeds run here, one after another.
@@ -275,7 +302,8 @@ def _run_seeds(cfg: dict, outdir: str) -> list[tuple[dict, bool]]:
     if (workers > 1 and "fork" in multiprocessing.get_all_start_methods()
             and not multiprocessing.current_process().daemon):
         with concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers, mp_context=multiprocessing.get_context("fork")) as pool:
+                max_workers=workers, mp_context=multiprocessing.get_context("fork"),
+                initializer=_die_with_parent, initargs=(os.getpid(),)) as pool:
             futures = [pool.submit(_run_seed, cfg, outdir, seed) for seed in seeds]
             for future in concurrent.futures.as_completed(futures):
                 if future.exception() is not None:

@@ -8,6 +8,15 @@ costs exactly one forward and one backward pass, the same as an unweighted
 trainer and the gradient oracle take that backward pass through the same
 function, :func:`weighted_grad`.
 
+A :class:`Workspace` holds the per-row arrays of MLP passes (layer outputs,
+backward deltas, ReLU masks), so a training loop that runs thousands of passes
+reuses the same memory instead of faulting in fresh pages on every step. The
+caller that creates a workspace owns it and passes it to ``forward_cache``; the
+cache that returns carries it into ``backward``. What a pass on a workspace
+returns (predictions and cache) stays valid only until the next forward on the
+same workspace. Models themselves stay stateless, and a call without a
+workspace gets fresh arrays that no other call shares.
+
 Everything runs in 64-bit floats; the verification oracles demand ~1e-10
 agreement between independent formulas, which single precision cannot reach.
 """
@@ -40,11 +49,37 @@ class ModelParams:
             )
 
 
+class Workspace:
+    """Reusable row buffers for the passes of one caller.
+
+    ``rows(key, n, width)`` returns the first ``n`` rows of a (rows, width)
+    array kept under ``key``, made anew only when ``n`` exceeds the rows it
+    has (or the width or dtype differs), so batches of up to the largest size
+    seen reuse one array. The content is whatever the last user left there.
+    """
+
+    def __init__(self):
+        self._arrays: dict = {}
+
+    def rows(self, key, n: int, width: int, dtype=np.float64) -> np.ndarray:
+        arr = self._arrays.get(key)
+        if arr is None or arr.shape[0] < n or arr.shape[1] != width or arr.dtype != dtype:
+            arr = self._arrays[key] = np.empty((n, width), dtype)
+        return arr[:n]
+
+
+def _buffer(workspace: Workspace | None, key, n: int, width: int, dtype=np.float64):
+    """``workspace.rows(...)``, or None (a fresh output array) without a workspace."""
+    return None if workspace is None else workspace.rows(key, n, width, dtype)
+
+
 class Model:
     """Base class: subclasses define forward_cache / backward and init.
 
     ``forward_cache`` takes what the fixed map ``featurize`` (by default the
     identity) returns; ``forward`` and :func:`weighted_loss_grad` take raw inputs.
+    ``forward_cache`` may write into a caller's :class:`Workspace`; ``forward``
+    passes none, so its result is the caller's alone.
     """
 
     task: str
@@ -59,7 +94,7 @@ class Model:
     def featurize(self, features):
         return features
 
-    def forward_cache(self, theta, features):
+    def forward_cache(self, theta, features, workspace: Workspace | None = None):
         raise NotImplementedError
 
     def backward(self, cache, grad_pred):
@@ -98,7 +133,8 @@ class LinearModel(Model):
     def init_params(self, seed: int) -> np.ndarray:
         return np.zeros(self.n_params)
 
-    def forward_cache(self, theta, features):
+    def forward_cache(self, theta, features, workspace: Workspace | None = None):
+        # One output per row: too small to be worth a workspace.
         theta = self._check_theta(theta)
         X = np.asarray(features, dtype=np.float64)
         if X.shape[1] != self.n_features:
@@ -175,7 +211,13 @@ class MLP(Model):
             offset += out_w
         return weights, biases
 
-    def forward_cache(self, theta, features):
+    def forward_cache(self, theta, features, workspace: Workspace | None = None):
+        """(predictions, cache) of one forward pass.
+
+        Every layer output is written into ``workspace``, or into a fresh
+        array when None. The predictions and the cache of a caller's
+        workspace are valid only until its next forward pass.
+        """
         theta = self._check_theta(theta)
         X = np.asarray(features, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.layers[0]:
@@ -184,31 +226,43 @@ class MLP(Model):
         activations = [X]
         a = X
         for i, (W, b) in enumerate(zip(weights, biases)):
-            a = a @ W.T  # a new array, so the in-place steps never touch X
+            # A workspace buffer or a new array, never X, so the in-place steps never touch the input.
+            a = np.matmul(a, W.T, out=_buffer(workspace, ("out", i), len(X), W.shape[0]))
             a += b
             if i < len(weights) - 1:
                 np.maximum(a, 0.0, out=a)
             activations.append(a)
         out = activations[-1]
         preds = out[:, 0] if self.task == _data.REGRESSION else out
-        return preds, (weights, activations)
+        return preds, (weights, activations, workspace)
 
     def backward(self, cache, grad_pred):
-        weights, activations = cache
+        """Gradient of sum(grad_pred * predictions) over theta, as a fresh flat vector.
+
+        The deltas and masks go into the workspace of the forward pass that
+        made ``cache``, if it had one; the gradient is written straight into
+        its slices.
+        """
+        weights, activations, workspace = cache
         G = np.asarray(grad_pred, dtype=np.float64)
         if G.ndim == 1:
             G = G[:, None]
-        grads_w = [None] * len(weights)
-        grads_b = [None] * len(weights)
+        grad = np.empty(self.n_params)
+        end = self.n_params  # layer i's weights and bias end here in theta's layout
         delta = G
         for i in range(len(weights) - 1, -1, -1):
-            grads_w[i] = delta.T @ activations[i]
-            grads_b[i] = delta.sum(axis=0)
+            out_w, in_w = self._shapes[i]
+            w_start, b_start = end - out_w * in_w - out_w, end - out_w
+            np.matmul(delta.T, activations[i], out=grad[w_start:b_start].reshape(out_w, in_w))
+            np.add.reduce(delta, axis=0, out=grad[b_start:end])
+            end = w_start
             if i > 0:
                 # relu(z) > 0 exactly where z > 0, so the activation gives the mask.
-                delta = delta @ weights[i]
-                delta *= activations[i] > 0.0
-        return np.concatenate([np.concatenate([w.ravel(), b]) for w, b in zip(grads_w, grads_b)])
+                rows = len(delta)
+                delta = np.matmul(delta, weights[i], out=_buffer(workspace, ("delta", i), rows, in_w))
+                mask = _buffer(workspace, ("mask", i), rows, in_w, bool)
+                delta *= np.greater(activations[i], 0.0, out=mask)
+        return grad
 
 
 def model_from_descriptor(descriptor: str) -> Model:

@@ -209,14 +209,17 @@ def _accuracy(preds, targets, kind) -> float:
     return math.nan
 
 
-def _forward(model, theta, rows: Batch, kind):
-    """(preds, cache, per-sample losses) of one forward pass over ``rows``."""
-    preds, cache = model.forward_cache(theta, rows.features)
+def _forward(model, theta, rows: Batch, kind, workspace: models.Workspace | None = None):
+    """(preds, cache, per-sample losses) of one forward pass over ``rows``.
+
+    preds and cache live in ``workspace`` until its next forward pass.
+    """
+    preds, cache = model.forward_cache(theta, rows.features, workspace)
     return preds, cache, models.per_sample_loss(kind, preds, rows.targets, rows.ids)
 
 
-def _eval_split(model, theta, rows: Batch, kind):
-    preds, _, losses = _forward(model, theta, rows, kind)
+def _eval_split(model, theta, rows: Batch, kind, workspace: models.Workspace | None = None):
+    preds, _, losses = _forward(model, theta, rows, kind, workspace)
     return losses, _accuracy(preds, rows.targets, kind)
 
 
@@ -231,6 +234,10 @@ def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
     then runs the model on rows of the featurized matrices. In full-batch
     runs, each epoch-end train evaluation but the last is also the next
     step's forward, so that step runs none of its own.
+    The passes over each split write into a workspace of that split, made
+    here and dropped on return, so steps reuse memory instead of allocating
+    it. The test split has its own, so evaluating it never overwrites a
+    pending train forward.
     Runs abort (status "aborted", reason recorded) on non-finite losses or
     parameters, or when any multiplier exceeds the blow-up threshold.
     """
@@ -251,6 +258,7 @@ def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
     train_rows = _featurized(model, train_ds)
     test_rows = _featurized(model, test_ds) if test_ds is not None else None
     shuffle_rng = epoch_rng(combine_seed(config.seed, 0))  # batch_iter re-keys it every epoch
+    train_ws, test_ws = models.Workspace(), models.Workspace()
 
     trajectory: list[dict] = []
     abort_reason = abort = None
@@ -272,7 +280,7 @@ def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
                 if ahead is not None:
                     (preds, cache, g), ahead = ahead, None
                 else:
-                    preds, cache, g = _forward(model, theta, batch, kind)
+                    preds, cache, g = _forward(model, theta, batch, kind, train_ws)
                     passes["forward"] += 1
                 t1 = clock()
                 eps_b = eps[batch.ids]
@@ -321,15 +329,16 @@ def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
         t0 = clock()
         try:
             if batch_size == n and epoch < config.epochs - 1:
-                ahead = _forward(model, theta, train_rows, kind)
+                ahead = _forward(model, theta, train_rows, kind, train_ws)
                 passes["forward"] += 1
                 t1 = clock()  # the next step's forward, timed as one
                 t_forward += t1 - t0
                 t0 = t1
                 train_losses, train_acc = ahead[2], _accuracy(ahead[0], train_rows.targets, kind)
             else:
-                train_losses, train_acc = _eval_split(model, theta, train_rows, kind)
-            test_eval = _eval_split(model, theta, test_rows, kind) if test_rows is not None else None
+                train_losses, train_acc = _eval_split(model, theta, train_rows, kind, train_ws)
+            test_eval = (_eval_split(model, theta, test_rows, kind, test_ws)
+                         if test_rows is not None else None)
         except NumericError as err:
             abort_reason = f"epoch-end evaluation failed: {err}"
             abort = {"epoch": epoch, "step": step_idx, "ids": err.ids}
@@ -362,9 +371,9 @@ def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
     final_train = final_test = None
     t0 = clock()
     try:
-        final_train, _ = _eval_split(model, theta, train_rows, kind)
+        final_train, _ = _eval_split(model, theta, train_rows, kind, train_ws)
         if test_rows is not None:
-            final_test, _ = _eval_split(model, theta, test_rows, kind)
+            final_test, _ = _eval_split(model, theta, test_rows, kind, test_ws)
     except NumericError:
         pass  # aborted runs keep whatever is computable
     t_eval += clock() - t0

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -506,8 +507,9 @@ class TestParallelSeeds:
         made = []
 
         class InProcessPool:
-            def __init__(self, max_workers, mp_context):
+            def __init__(self, max_workers, mp_context, initializer, initargs):
                 made.append((max_workers, mp_context.get_start_method()))
+                assert (initializer, initargs) == (cli._die_with_parent, (os.getpid(),))
 
             def __enter__(self):
                 return self
@@ -525,6 +527,52 @@ class TestParallelSeeds:
         summary = cli.run_experiment(_tiny_config(tmp_path, seeds=(0, 1, 2)))
         assert made == ([] if workers is None else [(workers, "fork")])
         assert sorted(summary["per_seed"]) == ["0", "1", "2"]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="workers die with their parent on Linux")
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU: the seeds run in-process")
+    def test_workers_die_with_a_killed_parent(self, tmp_path):
+        # The workers record their pids; then `feaslearn run` alone gets SIGKILL.
+        cfg = _tiny_config(tmp_path, seeds=(0, 1), epochs=10**7)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = ("import os, sys\n"
+                "from feaslearn import cli\n"
+                "real = cli._run_seed\n"
+                "def recorded(cfg, outdir, seed):\n"
+                f"    with open(os.path.join({str(tmp_path)!r}, f'worker_{{seed}}.pid'), 'w') as fh:\n"
+                "        fh.write(str(os.getpid()))\n"
+                "    return real(cfg, outdir, seed)\n"
+                "cli._run_seed = recorded\n"
+                f"sys.exit(cli.main(['run', {str(path)!r}]))\n")
+
+        def alive(pid):  # a zombie no one reaps counts as gone
+            try:
+                with open(f"/proc/{pid}/stat") as fh:
+                    return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+            except FileNotFoundError:
+                return False
+
+        pids = []
+        parent = subprocess.Popen([sys.executable, "-c", code],
+                                  env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        try:
+            deadline = time.monotonic() + 60
+            while len(pids) < 2 and time.monotonic() < deadline and parent.poll() is None:
+                time.sleep(0.05)
+                pids = [int(p.read_text()) for p in tmp_path.glob("worker_*.pid") if p.read_text()]
+            assert len(pids) == 2 and all(alive(pid) for pid in pids)
+            parent.kill()
+            parent.wait(timeout=30)
+            deadline = time.monotonic() + 5
+            while any(alive(pid) for pid in pids) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(alive(pid) for pid in pids)
+        finally:
+            parent.kill()
+            parent.wait(timeout=30)
+            for pid in pids:  # so a failing run leaves no orphan training on
+                if alive(pid):
+                    os.kill(pid, signal.SIGKILL)
 
 
 class TestCompare:

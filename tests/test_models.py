@@ -126,6 +126,46 @@ class TestMlpInPlaceLayers:
             assert np.array_equal(after, before)
 
 
+class TestWorkspace:
+    """Passes on one reused workspace give the bits of passes on fresh arrays."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(hidden=st.lists(st.integers(1, 12), max_size=3), in_w=st.integers(1, 4),
+           out_w=st.integers(1, 4), regression=st.booleans(),
+           sizes=st.lists(st.integers(1, 40), min_size=2, max_size=4), seed=st.integers(0, 2**32 - 1))
+    def test_reused_workspace_is_bit_equal_to_fresh_arrays(self, hidden, in_w, out_w, regression,
+                                                           sizes, seed):
+        task = "regression" if regression else "classification"
+        model = models.MLP((in_w, *hidden, 1 if regression else out_w), task)
+        rng = np.random.default_rng(seed)
+        ws = models.Workspace()
+        # The row count grows to its largest, then shrinks: a ragged last batch.
+        counts = sorted(sizes) + sorted(sizes, reverse=True)[1:]
+        largest = None
+        for n in counts:
+            theta = rng.normal(size=model.n_params)
+            X = rng.normal(size=(n, in_w))
+            G = rng.normal(size=n) if regression else rng.normal(size=(n, model.layers[-1]))
+            X_before, G_before = X.copy(), G.copy()
+            preds, cache = model.forward_cache(theta, X, ws)
+            got_preds, got_grad = preds.copy(), model.backward(cache, G)
+            fresh_preds, fresh_cache = model.forward_cache(theta, X)
+            want_out, want_grad = _reference_mlp(model, theta, X, G)
+            assert np.array_equal(got_preds, fresh_preds)
+            assert np.array_equal(got_grad, model.backward(fresh_cache, G))
+            assert np.array_equal(got_preds, want_out[:, 0] if regression else want_out)
+            assert np.array_equal(got_grad, want_grad)
+            assert np.array_equal(X, X_before) and np.array_equal(G, G_before)
+            assert not np.shares_memory(preds, fresh_preds)
+            if n == max(sizes):
+                largest = preds
+            elif largest is not None:  # a batch after the largest reuses its buffer
+                assert np.shares_memory(preds, largest)
+        X = rng.normal(size=(3, in_w))
+        first, second = model.forward(theta, X), model.forward(theta, X)
+        assert np.array_equal(first, second) and not np.shares_memory(first, second)
+
+
 def _random_batch(model, rng, kind):
     n = 6
     if kind == models.CROSS_ENTROPY:

@@ -420,7 +420,7 @@ class TestInfeasibleDynamics:
 
 class TestEvalSplit:
     # A stand-in model whose predictions are its input rows, so the logits are given.
-    identity = SimpleNamespace(forward_cache=lambda theta, features: (features, None))
+    identity = SimpleNamespace(forward_cache=lambda theta, features, workspace=None: (features, None))
 
     def _accuracy(self, logits, labels):
         rows = data.Batch(np.arange(len(labels)), logits, labels)
@@ -634,6 +634,67 @@ class TestFeaturizeOnce:
         assert record.status == "aborted"
         assert record.abort_reason == "non-finite predictions for samples [0]"
         assert record.abort == {"epoch": 0, "step": 0, "ids": [0]}
+
+
+class TestWorkspaceBitIdentity:
+    """train() gives the same record whether or not MLP passes reuse its workspaces."""
+
+    @staticmethod
+    def _record_bits(record):
+        def raw(a):
+            return None if a is None else a.tobytes()
+        return ([[repr(v) for v in row.values()] for row in record.trajectory],
+                raw(record.params.theta), raw(record.multipliers.lam),
+                raw(record.final_train_losses), raw(record.final_test_losses),
+                record.status, record.abort_reason, record.abort, record.train_pass_counts)
+
+    def _both_ways(self, monkeypatch, run):
+        real = models.MLP.forward_cache
+        given = []
+
+        def fresh_arrays(model, theta, features, workspace=None):
+            given.append(workspace is not None)
+            return real(model, theta, features)
+
+        reused = run()
+        monkeypatch.setattr(models.MLP, "forward_cache", fresh_arrays)
+        fresh = run()
+        assert given and all(given)  # train() passed a workspace to every forward
+        assert self._record_bits(reused) == self._record_bits(fresh)
+        return reused
+
+    def test_mini_batch_fl_with_test_split_and_ragged_last_batch(self, monkeypatch):
+        train_ds, test_ds = data.split_train_test(data.gen_two_moons(100, 0.2, 3), 0.25, 3)
+        cfg = TrainerConfig(method="fl", eta_theta=1e-2, eta_lambda=0.1, eps=0.3, batch_size=20,
+                            epochs=6, primal_optimizer="adamw", seed=3)
+        assert train_ds.n_samples % cfg.batch_size != 0
+        model = models.MLP((2, 10, 7, 2))
+        record = self._both_ways(monkeypatch, lambda: train(cfg, model, train_ds, test_ds))
+        assert record.status == "completed" and record.final_test_losses is not None
+
+    def test_full_batch_erm_shares_the_epoch_end_forward(self, monkeypatch):
+        train_ds, test_ds = data.split_train_test(data.gen_two_moons(80, 0.2, 4), 0.25, 4)
+        cfg = TrainerConfig(method="erm", eta_theta=5e-2, epochs=6, primal_optimizer="sgd_momentum", seed=4)
+        model = models.MLP((2, 12, 2))
+        record = self._both_ways(monkeypatch, lambda: train(cfg, model, train_ds, test_ds))
+        assert record.train_pass_counts == {"forward": 6, "backward": 6}
+
+    def test_abort_at_epoch_end_evaluation_keeps_its_record(self, monkeypatch):
+        # Training rows are tame; test id 1 at x = 1e200 overflows its squared
+        # error at the first epoch-end evaluation, with the next full-batch
+        # step's train forward already made.
+        train_ds = data.gen_noisy_cosine(30, 0.1, 5)
+        test_ds = data.Dataset(features=np.array([[0.5], [1e200]]), targets=np.zeros(2),
+                               ids=np.array([0, 1]), task=data.REGRESSION)
+        cfg = TrainerConfig(method="fl", eta_theta=1e-2, eta_lambda=0.1, eps=0.05, epochs=4,
+                            primal_optimizer="sgd", seed=5)
+        model = models.MLP((1, 6, 1), "regression")
+        with np.errstate(over="ignore"):
+            record = self._both_ways(monkeypatch, lambda: train(cfg, model, train_ds, test_ds))
+        assert record.status == "aborted"
+        assert record.abort_reason == "epoch-end evaluation failed: non-finite losses for samples [1]"
+        assert record.abort == {"epoch": 0, "step": 1, "ids": [1]}
+        assert record.final_train_losses is not None and record.final_test_losses is None
 
 
 class TestAbortNamesDatasetIds:
