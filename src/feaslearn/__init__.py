@@ -20,7 +20,6 @@ from .feasibility import (
     MultiplierState,
     analytic_dual_opt,
     cserm_objective,
-    cserm_weights,
     dual_step_rfl,
     lagrangian_alpha,
     lagrangian_rfl_slack,
@@ -41,7 +40,7 @@ __all__ = [
     "Batch", "Dataset", "batch_iter", "gen_conflicting_pairs", "gen_noisy_cosine",
     "gen_two_moons", "poly_features", "split_train_test",
     "MultiplierState",
-    "analytic_dual_opt", "cserm_objective", "cserm_weights",
+    "analytic_dual_opt", "cserm_objective",
     "dual_step_rfl", "lagrangian_alpha", "lagrangian_rfl_slack",
     "slack_view", "violations",
     "MLP", "LinearModel", "ModelParams", "PolyModel", "per_sample_loss",

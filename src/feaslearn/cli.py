@@ -42,7 +42,7 @@ CONFIG_DEFAULTS = {
     "name": "experiment",
     "split": {"test_fraction": 0.0, "seed": None},
     "model": {"family": "linear"},
-    "metrics": {"quantiles": [0.9, 0.95, 0.99], "top_k": 10},
+    "metrics": {"quantiles": [0.9, 0.95, 0.99]},
     "seeds": [0, 1, 2, 3, 4],
 }
 
@@ -85,6 +85,9 @@ def load_config(source) -> dict:
 
     if "dataset" not in merged:
         _fail("dataset", "required")
+    unknown = sorted(set(merged["metrics"]) - set(CONFIG_DEFAULTS["metrics"]))
+    if unknown:
+        _fail(f"metrics.{unknown[0]}", "unknown metrics field")
     if "seed" in trainer:
         _fail("trainer.seed", "not allowed; the run seeds come from 'seeds'")
     unknown = sorted(set(trainer) - {f.name for f in dataclasses.fields(tr.TrainerConfig)})

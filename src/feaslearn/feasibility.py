@@ -105,7 +105,12 @@ def lagrangian_rfl_slack(g, spec, u, lam, alpha: float) -> float | np.ndarray:
 
 
 def analytic_dual_opt(g, spec, alpha: float) -> np.ndarray:
-    """Closed-form maximizer of the regularized value: alpha * [g - eps]_+."""
+    """Closed-form maximizer of the regularized value: alpha * [g - eps]_+.
+
+    The maximizer is unique, so by the envelope theorem these are also the
+    per-sample weights whose weighted loss gradient equals the gradient of
+    :func:`cserm_objective`; the cserm trainer steps with them.
+    """
     if alpha <= 0:
         raise ParameterError("alpha must be positive")
     return alpha * np.maximum(violations(g, spec), 0.0)
@@ -121,21 +126,18 @@ def slack_view(lam, alpha: float) -> np.ndarray:
     return lam / alpha
 
 
-def cserm_objective(g, spec, alpha: float) -> float:
+def cserm_objective(g, spec, alpha: float) -> float | np.ndarray:
     """Clamped-and-squared penalty (alpha/2) * ||[g - eps]_+||^2.
 
     Equals :func:`lagrangian_alpha` evaluated at :func:`analytic_dual_opt`;
     minimizing it over model parameters is equivalent to the slack-relaxed
     feasibility problem.
+    ``g`` may be a stack of loss vectors, shape (..., n): the result then
+    holds one value per row, each bit-equal to this function called on that
+    row alone (every row is one BLAS dot product). A 1-D ``g`` gives a float.
     """
     if alpha <= 0:
         raise ParameterError("alpha must be positive")
     clamped = np.maximum(violations(g, spec), 0.0)
-    return 0.5 * alpha * float(clamped @ clamped)
-
-
-def cserm_weights(g, spec, alpha: float) -> np.ndarray:
-    """Per-sample weights alpha * [g - eps]_+ whose weighted loss gradient
-    equals the gradient of :func:`cserm_objective` (the inner maximizer is
-    unique, so the envelope theorem applies)."""
-    return analytic_dual_opt(g, spec, alpha)
+    value = 0.5 * alpha * np.vecdot(clamped, clamped)
+    return float(value) if clamped.ndim == 1 else value

@@ -137,8 +137,8 @@ class LinearModel(Model):
         # One output per row: too small to be worth a workspace.
         theta = self._check_theta(theta)
         X = np.asarray(features, dtype=np.float64)
-        if X.shape[1] != self.n_features:
-            raise ShapeError(f"expected {self.n_features} features, got {X.shape[1]}")
+        if X.ndim != 2 or X.shape[1] != self.n_features:
+            raise ShapeError(f"expected {self.n_features} features, got shape {X.shape}")
         return X @ theta, X
 
     def backward(self, cache, grad_pred):
@@ -203,11 +203,19 @@ class MLP(Model):
         return np.concatenate(parts)
 
     def _unpack(self, theta):
+        """Each layer's weight matrix and bias as views of theta.
+
+        theta's layout is, layer by layer, the (out, in) weights in row-major
+        order, then the out biases. A stack of parameter vectors, shape
+        (..., n_params), gives stacks of matrices and biases with the same
+        leading axes.
+        """
+        lead = theta.shape[:-1]
         weights, biases, offset = [], [], 0
         for out_w, in_w in self._shapes:
-            weights.append(theta[offset:offset + out_w * in_w].reshape(out_w, in_w))
+            weights.append(theta[..., offset:offset + out_w * in_w].reshape(*lead, out_w, in_w))
             offset += out_w * in_w
-            biases.append(theta[offset:offset + out_w])
+            biases.append(theta[..., offset:offset + out_w])
             offset += out_w
         return weights, biases
 
@@ -284,37 +292,48 @@ def per_sample_loss(kind: str, predictions, targets, ids=None) -> np.ndarray:
     squared_error: (pred - y)^2 for scalar predictions.
     cross_entropy: -log softmax(logits)[y], computed from logits via a
     stable log-sum-exp (never from normalized probabilities).
+    ``targets`` holds one entry per sample, shape (n,). ``predictions`` has
+    shape (n,) or (n, C), or carries leading stack axes, (..., n) or
+    (..., n, C), one row per stacked parameter vector: the losses then have
+    shape (..., n), each row bit-equal to the call on that row alone.
     Errors name the offending samples by ``ids``, or by row position when None.
     """
     predictions = np.asarray(predictions, dtype=np.float64)
-    bad = ~np.isfinite(predictions)
-    if bad.any():
-        named = named_rows(bad.any(axis=-1) if predictions.ndim > 1 else bad, ids)
-        raise NumericError(f"non-finite predictions for samples {named}", ids=named)
     if kind == SQUARED_ERROR:
         targets = np.asarray(targets, dtype=np.float64)
-        if predictions.shape != targets.shape:
+        if targets.ndim != 1 or predictions.shape[-1:] != targets.shape:
             raise ShapeError(f"prediction shape {predictions.shape} != target shape {targets.shape}")
-        with np.errstate(over="ignore"):
-            out = (predictions - targets) ** 2
     elif kind == CROSS_ENTROPY:
         targets = np.asarray(targets, dtype=np.int64)
-        if predictions.ndim != 2 or targets.shape != (predictions.shape[0],):
+        if predictions.ndim < 2 or targets.shape != predictions.shape[-2:-1]:
             raise ShapeError("cross_entropy expects (n, C) logits and (n,) labels")
-        beyond = targets >= predictions.shape[1]
+        beyond = targets >= predictions.shape[-1]
         if beyond.any():
             raise ParameterError(f"samples {named_rows(beyond, ids)} have class labels at or "
-                                 f"above the model's output width {predictions.shape[1]}")
-        zmax = predictions.max(axis=1, keepdims=True)
-        lse = np.log(np.exp(predictions - zmax).sum(axis=1)) + zmax[:, 0]
-        out = lse - predictions[np.arange(len(targets)), targets]
+                                 f"above the model's output width {predictions.shape[-1]}")
     else:
         raise ParameterError(f"unknown loss kind {kind!r}")
+    bad = ~np.isfinite(predictions)
+    if bad.any():
+        named = named_rows(_per_sample(bad.any(axis=-1) if kind == CROSS_ENTROPY else bad), ids)
+        raise NumericError(f"non-finite predictions for samples {named}", ids=named)
+    if kind == SQUARED_ERROR:
+        with np.errstate(over="ignore"):
+            out = (predictions - targets) ** 2
+    else:
+        zmax = predictions.max(axis=-1, keepdims=True)
+        lse = np.log(np.exp(predictions - zmax).sum(axis=-1)) + zmax[..., 0]
+        out = lse - predictions[..., np.arange(len(targets)), targets]
     overflow = ~np.isfinite(out)
     if overflow.any():
-        named = named_rows(overflow, ids)
+        named = named_rows(_per_sample(overflow), ids)
         raise NumericError(f"non-finite losses for samples {named}", ids=named)
     return out
+
+
+def _per_sample(mask) -> np.ndarray:
+    """A (..., n) mask over stacked rows reduced to one entry per sample."""
+    return mask.reshape(-1, mask.shape[-1]).any(axis=0)
 
 
 def loss_grad(kind: str, predictions, targets) -> np.ndarray:

@@ -18,13 +18,19 @@ import numpy as np
 from . import feasibility as fs
 from . import models
 from .data import Batch, CLASSIFICATION, REGRESSION, Dataset
-from .errors import NumericError, ParameterError
+from .errors import NumericError, ParameterError, ShapeError
 
 DEFAULT_FAMILIES = ("linear", "poly", "mlp_regressor", "mlp_classifier")
 
 
 def finite_diff_grad(f, theta, h: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient of a scalar function, coordinate by coordinate.
+    """Central-difference gradient of a function evaluated on a stack of probes.
+
+    With P = theta.size, ``f`` takes a (2P, P) stack whose row j is
+    theta + h e_j and whose row P + j is theta - h e_j, and returns the 2P
+    values of the function at those rows; coordinate j of the gradient is
+    (value j - value P + j) / 2h. One call evaluates every probe, so ``f``
+    can run each step of the objective once over the whole stack.
 
     h = 1e-6 roughly balances truncation against rounding for 64-bit values
     of order one.
@@ -32,17 +38,42 @@ def finite_diff_grad(f, theta, h: float = 1e-6) -> np.ndarray:
     if h <= 0:
         raise ParameterError("h must be positive")
     theta = np.asarray(theta, dtype=np.float64)
-    grad = np.empty_like(theta)
-    for j in range(theta.size):
-        bumped = theta.copy()
-        bumped[j] = theta[j] + h
-        f_plus = f(bumped)
-        bumped[j] = theta[j] - h
-        f_minus = f(bumped)
-        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-            raise NumericError(f"objective non-finite near coordinate {j}")
-        grad[j] = (f_plus - f_minus) / (2.0 * h)
-    return grad
+    p = theta.size
+    probes = np.tile(theta, (2, p, 1))
+    coords = np.arange(p)
+    probes[0, coords, coords] = theta + h
+    probes[1, coords, coords] = theta - h
+    values = np.asarray(f(probes.reshape(2 * p, p)), dtype=np.float64)
+    if values.shape != (2 * p,):
+        raise ShapeError(f"objective must return {2 * p} values, one per probe, "
+                         f"got shape {values.shape}")
+    plus, minus = values[:p], values[p:]
+    bad = ~(np.isfinite(plus) & np.isfinite(minus))
+    if bad.any():
+        raise NumericError(f"objective non-finite near coordinate {int(np.argmax(bad))}")
+    return (plus - minus) / (2.0 * h)
+
+
+def _stacked_forward(model: models.Model, thetas: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """Predictions of ``model`` at every row of ``thetas`` (shape (S, P)), stacked.
+
+    ``features`` are what ``model.featurize`` returns. Slice s is bit-equal
+    to ``model.forward(thetas[s], raw)``: every slice of a stacked
+    ``np.matmul`` is the same BLAS product the model's forward pass takes on
+    that parameter vector alone, and the bias and ReLU steps are elementwise.
+    """
+    if isinstance(model, models.LinearModel):
+        return np.matmul(features, thetas[:, :, None])[..., 0]
+    if isinstance(model, models.MLP):
+        weights, biases = model._unpack(thetas)
+        a = features
+        for i, (W, b) in enumerate(zip(weights, biases)):
+            a = np.matmul(a, np.swapaxes(W, -1, -2))
+            a += b[:, None, :]
+            if i < len(weights) - 1:
+                np.maximum(a, 0.0, out=a)
+        return a[..., 0] if model.task == REGRESSION else a
+    raise ParameterError(f"no stacked forward for {type(model).__name__}")
 
 
 def random_problem(family: str, rng: np.random.Generator):
@@ -196,18 +227,17 @@ def gradient_check_report(families=DEFAULT_FAMILIES, n_draws: int = 20,
             eps = float(rng.uniform(0.0, 1.0))
             alpha = float(10.0 ** rng.uniform(-1, 1))
 
-            def weighted_value(th):
-                g = models.per_sample_loss(kind, model.forward(th, batch.features), batch.targets)
-                return float(weights @ g)
+            features = model.featurize(batch.features)
 
-            def penalty_value(th):
-                g = models.per_sample_loss(kind, model.forward(th, batch.features), batch.targets)
-                return fs.cserm_objective(g, eps, alpha)
+            def stacked_losses(thetas):
+                return models.per_sample_loss(kind, _stacked_forward(model, thetas, features),
+                                              batch.targets)
 
             g0 = models.per_sample_loss(kind, model.forward(theta, batch.features), batch.targets)
             checks = [
-                ("weighted", weights, weighted_value),
-                ("envelope", fs.cserm_weights(g0, eps, alpha), penalty_value),
+                ("weighted", weights, lambda thetas: np.vecdot(stacked_losses(thetas), weights)),
+                ("envelope", fs.analytic_dual_opt(g0, eps, alpha),
+                 lambda thetas: fs.cserm_objective(stacked_losses(thetas), eps, alpha)),
             ]
             for name, w, value_fn in checks:
                 analytic = models.weighted_loss_grad(model, theta, batch, w, kind)

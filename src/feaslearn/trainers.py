@@ -301,7 +301,7 @@ def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
                             f"on samples {blown.tolist()}", ids=blown)
                     weights = lam_new
                 elif config.method == CSERM:
-                    weights = fs.cserm_weights(g, eps_b, config.alpha)
+                    weights = fs.analytic_dual_opt(g, eps_b, config.alpha)
                 else:
                     weights = np.full(len(batch), 1.0 / len(batch))
 

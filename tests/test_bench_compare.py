@@ -83,3 +83,37 @@ def test_quartiles_better_pairs_and_digests(tmp_path, bench_compare):
     assert not layers["change"]["traced_equals_untraced_digests"]
     assert report["parent_commit"] == "abc123"
     assert report["env"]["nproc"] == 2
+
+
+TIGHT = [5.00, 5.02, 4.98, 5.01, 4.99, 5.03, 4.97, 5.00, 5.02, 4.98]  # IQR 0.0375, 0.75 %
+
+
+@pytest.mark.parametrize("parent_rel,change_rel,verdict", [
+    # better in 9 of 10 pairs, median gap 1.99 > parent IQR
+    (TIGHT, [3.0] * 9 + [5.5], "gain"),
+    # better in 10 of 10, but the median gap 0.02 is inside the parent's IQR
+    (TIGHT, [v - 0.02 for v in TIGHT], "unchanged"),
+    # better in 8 of 10 only
+    (TIGHT, [3.0] * 8 + [5.5, 5.5], "unchanged"),
+    # median 4 % worse: inside the 0.2 bound, still reported
+    (TIGHT, [v * 1.04 for v in TIGHT], "worse"),
+    # median 30 % worse: beyond the bound
+    (TIGHT, [v * 1.3 for v in TIGHT], "regression"),
+    # the parent's own IQR (2.0 around a median of 5.0) exceeds the bound
+    ([4.0, 6.0, 4.0, 6.0, 5.0, 4.0, 6.0, 5.0, 4.0, 6.0], [5.0, 4.9] * 5, "unresolved"),
+    # wide parent spread, but every change run beats every parent run
+    ([4.0, 6.0, 4.0, 6.0, 5.0, 4.0, 6.0, 5.0, 4.0, 6.0], [3.9] * 10, "unchanged"),
+])
+def test_verdicts(tmp_path, bench_compare, parent_rel, change_rel, verdict):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed, (p, c) in enumerate(zip(parent_rel, change_rel)):
+        _write(parent, "w", seed, 0, _untraced(p, 1.0 / p, ["a"]), "abc123")
+        _write(change, "w", seed, 0, _untraced(c, 1.0 / c, ["a"]), None)
+    (tmp_path / "spec.json").write_text(json.dumps(SPEC))
+    out = tmp_path / "BENCH.json"
+    assert bench_compare.main(["--parent", str(parent), "--change", str(change),
+                               "--spec", str(tmp_path / "spec.json"), "--out", str(out)]) == 0
+    metrics = json.loads(out.read_text())["end_to_end"]["w"]["metrics"]
+    assert metrics["job_rel"]["verdict"] == verdict
+    # jobs_per_s = 1 / job_rel: higher is better, under its own 0.1 bound
+    assert metrics["jobs_per_s"]["verdict"] == verdict

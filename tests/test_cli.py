@@ -163,6 +163,17 @@ class TestRunExperiment:
         assert f"'trainer.{key}'" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "tiny_fl")
 
+    @pytest.mark.parametrize("metrics,named", [({"top_k": "banana", "bogus": 1}, "bogus"),
+                                               ({"top_k": 10}, "top_k")])
+    def test_unknown_metrics_key_exits_two(self, tmp_path, capsys, metrics, named):
+        cfg = _tiny_config(tmp_path, seeds=(0,))
+        cfg["metrics"] = metrics
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+        assert f"'metrics.{named}': unknown metrics field" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "tiny_fl")
+
     def test_empty_test_split_exits_two(self, tmp_path, capsys):
         # round(0.01 * 20) = 0 test samples
         cfg = {"name": "tiny_split",

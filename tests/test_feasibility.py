@@ -215,6 +215,25 @@ class TestCsermObjective:
     def test_unit_alpha(self):
         assert fs.cserm_objective([1.51], 0.51, 1.0) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("vector_eps", [False, True])
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_stack_equals_rows_bitwise(self, n, vector_eps):
+        rng = np.random.default_rng(n)
+        eps = rng.uniform(0.0, 1.5, n) if vector_eps else float(rng.uniform(0.0, 1.5))
+        alpha = float(10.0 ** rng.uniform(-2, 2))
+        stack = rng.uniform(0.0, 3.0, size=(3, 40, n))
+        for g in (stack, stack[1]):
+            values = fs.cserm_objective(g, eps, alpha)
+            assert values.shape == g.shape[:-1]
+            for idx in np.ndindex(g.shape[:-1]):
+                row = g[idx]
+                single = fs.cserm_objective(row, eps, alpha)
+                assert type(single) is float
+                # the single-vector formula before stacks were accepted
+                clamped = np.maximum(row - eps, 0.0)
+                reference = 0.5 * alpha * float(clamped @ clamped)
+                assert values[idx] == single == reference
+
 
 class TestEnvelopeGradient:
     def test_penalty_gradient_equals_weighted_gradient(self):
@@ -227,12 +246,13 @@ class TestEnvelopeGradient:
         g = models.per_sample_loss(models.SQUARED_ERROR, model.forward(theta, batch.features),
                                    batch.targets)
         analytic = models.weighted_loss_grad(model, theta, batch,
-                                             fs.cserm_weights(g, eps, alpha),
+                                             fs.analytic_dual_opt(g, eps, alpha),
                                              models.SQUARED_ERROR)
 
-        def penalty(th):
-            losses = models.per_sample_loss(models.SQUARED_ERROR,
-                                            model.forward(th, batch.features), batch.targets)
+        def penalty(thetas):
+            losses = np.stack([models.per_sample_loss(models.SQUARED_ERROR,
+                                                      model.forward(th, batch.features),
+                                                      batch.targets) for th in thetas])
             return fs.cserm_objective(losses, eps, alpha)
 
         numeric = oracle.finite_diff_grad(penalty, theta, h=1e-6)

@@ -35,6 +35,10 @@ class TestForward:
         with pytest.raises(ShapeError):
             model.forward(np.zeros(4), np.zeros((2, 3)))
 
+    def test_one_dimensional_features_raise_shape_error(self):
+        with pytest.raises(ShapeError, match=r"expected 3 features, got shape \(3,\)"):
+            models.LinearModel(3).forward(np.zeros(3), np.zeros(3))
+
     def test_regression_mlp_returns_vector(self):
         model = models.MLP((2, 5, 1), task="regression")
         out = model.forward(model.init_params(1), np.zeros((3, 2)))
@@ -62,6 +66,47 @@ class TestPerSampleLoss:
         with pytest.raises(NumericError) as err:
             models.per_sample_loss("cross_entropy", preds, np.array([0, 1, 0]))
         assert err.value.ids == [1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from([models.SQUARED_ERROR, models.CROSS_ENTROPY]),
+           lead=st.lists(st.integers(1, 4), min_size=1, max_size=2), n=st.integers(1, 11),
+           classes=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+    def test_stacked_rows_equal_single_calls_bitwise(self, kind, lead, n, classes, seed):
+        rng = np.random.default_rng(seed)
+        if kind == models.SQUARED_ERROR:
+            preds, targets = rng.normal(scale=3.0, size=(*lead, n)), rng.normal(size=n)
+        else:
+            preds, targets = rng.normal(scale=3.0, size=(*lead, n, classes)), rng.integers(0, classes, n)
+        losses = models.per_sample_loss(kind, preds, targets)
+        assert losses.shape == (*lead, n)
+        for idx in np.ndindex(*lead):
+            assert np.array_equal(losses[idx], models.per_sample_loss(kind, preds[idx], targets))
+
+    @pytest.mark.parametrize("kind", [models.SQUARED_ERROR, models.CROSS_ENTROPY])
+    def test_non_finite_row_in_a_stack_names_sample_ids(self, kind):
+        ids = np.array([10, 11, 12, 13])
+        targets = np.zeros(4) if kind == models.SQUARED_ERROR else np.zeros(4, dtype=int)
+        preds = np.zeros((2, 3, 4) if kind == models.SQUARED_ERROR else (2, 3, 4, 2))
+        preds[1, 2, 3] = np.nan  # sample 3 in one row of the stack
+        preds[0, 1, 1] = np.inf  # sample 1 in another
+        with pytest.raises(NumericError, match=r"non-finite predictions for samples \[11, 13\]") as err:
+            models.per_sample_loss(kind, preds, targets, ids)
+        assert err.value.ids == [11, 13]
+        # finite predictions whose losses overflow
+        preds = np.zeros(preds.shape)
+        preds[1, 0, 2] = 1e200 if kind == models.SQUARED_ERROR else -1e308
+        if kind == models.CROSS_ENTROPY:
+            preds[1, 0, 2, 1] = 1e308
+        with pytest.raises(NumericError, match=r"non-finite losses for samples \[12\]") as err, \
+                np.errstate(over="ignore"):
+            models.per_sample_loss(kind, preds, targets, ids)
+        assert err.value.ids == [12]
+
+    def test_targets_must_be_one_per_sample(self):
+        with pytest.raises(ShapeError):
+            models.per_sample_loss(models.SQUARED_ERROR, np.zeros((2, 3)), np.zeros(2))
+        with pytest.raises(ShapeError):
+            models.per_sample_loss(models.CROSS_ENTROPY, np.zeros((2, 3, 2)), np.zeros(2, dtype=int))
 
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):
@@ -205,10 +250,11 @@ class TestWeightedLossGrad:
         weights = rng.uniform(0.1, 1.0, size=6)
         analytic = models.weighted_loss_grad(model, theta, batch, weights, models.CROSS_ENTROPY)
 
-        def value(th):
-            g = models.per_sample_loss(models.CROSS_ENTROPY, model.forward(th, batch.features),
-                                       batch.targets)
-            return float(weights @ g)
+        def value(thetas):
+            g = np.stack([models.per_sample_loss(models.CROSS_ENTROPY,
+                                                 model.forward(th, batch.features), batch.targets)
+                          for th in thetas])
+            return np.vecdot(g, weights)
 
         numeric = oracle.finite_diff_grad(value, theta, h=1e-6)
         rel = np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric)

@@ -4,28 +4,32 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feaslearn import feasibility as fs
 from feaslearn import models, oracle
 from feaslearn.data import Dataset
-from feaslearn.errors import ParameterError
+from feaslearn.errors import NumericError, ParameterError, ShapeError
 from feaslearn.models import LinearModel
 from feaslearn.trainers import TrainerConfig, train
 
 
 def test_finite_diff_on_quadratic():
-    grad = oracle.finite_diff_grad(lambda th: 0.5 * float(th @ th), np.array([1.0, 2.0]), h=1e-5)
+    grad = oracle.finite_diff_grad(lambda thetas: 0.5 * np.vecdot(thetas, thetas),
+                                   np.array([1.0, 2.0]), h=1e-5)
     assert np.allclose(grad, [1.0, 2.0], atol=1e-8)
 
 
 def test_finite_diff_constant_function():
-    grad = oracle.finite_diff_grad(lambda th: 3.5, np.array([0.3, -1.2, 4.0]))
+    grad = oracle.finite_diff_grad(lambda thetas: np.full(len(thetas), 3.5),
+                                   np.array([0.3, -1.2, 4.0]))
     assert np.allclose(grad, 0.0)
 
 
 def test_finite_diff_rejects_bad_step():
     with pytest.raises(ParameterError):
-        oracle.finite_diff_grad(lambda th: 0.0, np.zeros(2), h=0.0)
+        oracle.finite_diff_grad(lambda thetas: np.zeros(len(thetas)), np.zeros(2), h=0.0)
 
 
 def test_cserm_identity_hand_instance():
@@ -163,6 +167,118 @@ def test_gradient_check_all_families():
     assert report["passed"], report
     for fam in oracle.DEFAULT_FAMILIES:
         assert report["families"][fam]["rel_error"] < 1e-5
+
+
+def _finite_diff_one_coordinate_at_a_time(f, theta, h):
+    """Reference: central differences as a loop with one scalar call per probe."""
+    theta = np.asarray(theta, dtype=np.float64)
+    grad = np.empty_like(theta)
+    for j in range(theta.size):
+        bumped = theta.copy()
+        bumped[j] = theta[j] + h
+        f_plus = f(bumped)
+        bumped[j] = theta[j] - h
+        f_minus = f(bumped)
+        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+            raise NumericError(f"objective non-finite near coordinate {j}")
+        grad[j] = (f_plus - f_minus) / (2.0 * h)
+    return grad
+
+
+def _gradient_check_one_coordinate_at_a_time(families, n_draws, tol, h, seed):
+    """Reference: gradient_check_report with one forward pass per probe."""
+    rng = np.random.default_rng(seed)
+    out = {"check": "gradients", "tol": tol, "families": {}, "passed": True}
+    for family in families:
+        worst = {"rel_error": 0.0}
+        for draw in range(n_draws):
+            model, theta, batch, kind = oracle.random_problem(family, rng)
+            weights = rng.uniform(0.1, 2.0, size=len(batch))
+            eps = float(rng.uniform(0.0, 1.0))
+            alpha = float(10.0 ** rng.uniform(-1, 1))
+
+            def losses(th):
+                return models.per_sample_loss(kind, model.forward(th, batch.features), batch.targets)
+
+            def penalty_value(th):
+                clamped = np.maximum(losses(th) - eps, 0.0)
+                return 0.5 * alpha * float(clamped @ clamped)
+
+            checks = [("weighted", weights, lambda th: float(weights @ losses(th))),
+                      ("envelope", alpha * np.maximum(losses(theta) - eps, 0.0), penalty_value)]
+            for name, w, value_fn in checks:
+                analytic = models.weighted_loss_grad(model, theta, batch, w, kind)
+                numeric = _finite_diff_one_coordinate_at_a_time(value_fn, theta, h)
+                scale = max(float(np.linalg.norm(numeric)), 1e-8)
+                rel = float(np.linalg.norm(analytic - numeric)) / scale
+                if rel > worst["rel_error"]:
+                    coord = int(np.argmax(np.abs(analytic - numeric)))
+                    worst = {"rel_error": rel, "draw": draw, "gradient": name,
+                             "coordinate": coord, "analytic": float(analytic[coord]),
+                             "numeric": float(numeric[coord])}
+        out["families"][family] = worst
+        if worst["rel_error"] > tol:
+            out["passed"] = False
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_gradient_check_equals_one_coordinate_at_a_time_loop(seed):
+    args = dict(n_draws=20, tol=1e-5, h=1e-6, seed=seed)
+    expected = _gradient_check_one_coordinate_at_a_time(oracle.DEFAULT_FAMILIES, **args)
+    assert oracle.gradient_check_report(**args) == expected
+
+
+def test_finite_diff_probes_and_values_match_the_loop():
+    rng = np.random.default_rng(5)
+    theta, h = rng.normal(size=4), 1e-6
+    seen = []
+
+    def stacked(thetas):
+        seen.append(thetas.copy())
+        return np.vecdot(np.sin(thetas), np.arange(1.0, 5.0)) + np.vecdot(thetas, thetas)
+
+    grad = oracle.finite_diff_grad(stacked, theta, h=h)
+    [probes] = seen  # one call for all 2P probes
+    for j in range(4):
+        for row, sign in ((probes[j], 1.0), (probes[4 + j], -1.0)):
+            expected = theta.copy()
+            expected[j] = theta[j] + sign * h
+            assert np.array_equal(row, expected)
+    reference = _finite_diff_one_coordinate_at_a_time(lambda th: float(stacked(th[None])[0]), theta, h)
+    assert np.array_equal(grad, reference)
+
+
+def test_finite_diff_names_the_non_finite_coordinate():
+    def stacked(thetas):
+        values = np.zeros(len(thetas))
+        values[[4 + 2, 3]] = [math.inf, math.nan]  # minus probe of 2, plus probe of 3
+        return values
+
+    with pytest.raises(NumericError, match="coordinate 2"):
+        oracle.finite_diff_grad(stacked, np.zeros(4))
+
+
+def test_finite_diff_needs_one_value_per_probe():
+    with pytest.raises(ShapeError, match="6 values"):
+        oracle.finite_diff_grad(lambda thetas: 0.5 * float(thetas[0] @ thetas[0]), np.zeros(3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(oracle.DEFAULT_FAMILIES), seed=st.integers(0, 2**32 - 1),
+       extra_rows=st.integers(0, 5))
+def test_stacked_forward_slices_equal_model_forward_bitwise(family, seed, extra_rows):
+    rng = np.random.default_rng(seed)
+    model, theta, batch, _ = oracle.random_problem(family, rng)
+    # probe-like rows, as finite_diff_grad builds them, plus free draws
+    p = model.n_params
+    probes = np.concatenate([theta + 1e-6 * np.eye(p), theta - 1e-6 * np.eye(p),
+                             rng.normal(size=(extra_rows, p))])
+    stacked = oracle._stacked_forward(model, probes, model.featurize(batch.features))
+    single = [model.forward(th, batch.features) for th in probes]
+    assert stacked.shape == (len(probes),) + single[0].shape
+    for s, preds in enumerate(single):
+        assert np.array_equal(stacked[s], preds)
 
 
 def _constant_predictor_dataset(base: Dataset) -> Dataset:

@@ -9,9 +9,20 @@ leaves ``bench/results/<workload>-seed<N>-trace<T>.json``. Then:
 
 For every workload found with ``--trace 0`` on both sides, the output holds
 the seeds, the q1/median/q3 of each end-to-end metric on each side, in how
-many seed pairs the change was better, and whether the per-job trajectory
-digests matched. For every workload traced on both sides it holds the
-per-layer calls/job, share and per_step of each side.
+many seed pairs the change was better, a verdict, and whether the per-job
+trajectory digests matched. For every workload traced on both sides it holds
+the per-layer calls/job, share and per_step of each side.
+
+The verdict on each (workload, metric), first match wins; a relative change
+or spread is taken against the parent's median, and the bound is the
+metric's in BENCHMARK.json:
+  gain        the change is better in at least 9 of 10 pairs, and its median
+              is better by more than the parent's IQR
+  regression  the median is worse by more than the bound
+  unresolved  the parent's IQR exceeds the bound, and not every change run
+              is better than every parent run
+  worse       the median is worse, by no more than the bound
+  unchanged   none of the above
 """
 
 from __future__ import annotations
@@ -46,6 +57,24 @@ def _digests(record: dict) -> list[str]:
     return [job["digest"] for job in worker["jobs"]]
 
 
+def _verdict(metric: dict, pairs: list[tuple[float, float]]) -> str:
+    """The verdict on one metric's summary, from its (parent, change) value pairs."""
+    sign = 1.0 if metric["better"] == "lower" else -1.0  # sign * (change - parent) > 0 is worse
+    parent_median = metric["parent"]["median"]
+    gap = sign * (metric["change"]["median"] - parent_median)
+    allowed = metric["bound"] * abs(parent_median)
+    if 10 * metric["change_better_pairs"] >= 9 * metric["pairs"] and -gap > metric["parent_iqr"]:
+        return "gain"
+    if gap > allowed:
+        return "regression"
+    every_run_better = max(sign * c for _, c in pairs) < min(sign * p for p, _ in pairs)
+    if metric["parent_iqr"] > allowed and not every_run_better:
+        return "unresolved"
+    if gap > 0:
+        return "worse"
+    return "unchanged"
+
+
 def _end_to_end(parent: dict, change: dict, spec: dict) -> dict:
     seeds = sorted(set(parent) & set(change))
     out = {"seeds": seeds, "metrics": {}}
@@ -54,7 +83,7 @@ def _end_to_end(parent: dict, change: dict, spec: dict) -> dict:
         pairs = [(parent[s]["result"]["metrics"][name]["value"],
                   change[s]["result"]["metrics"][name]["value"]) for s in seeds]
         p_q, c_q = _quartiles([p for p, _ in pairs]), _quartiles([c for _, c in pairs])
-        out["metrics"][name] = {
+        summary = out["metrics"][name] = {
             "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
             "parent": p_q, "change": c_q,
             "median_change": c_q["median"] / p_q["median"] - 1.0,
@@ -62,6 +91,7 @@ def _end_to_end(parent: dict, change: dict, spec: dict) -> dict:
             "change_better_pairs": sum((c < p) if lower else (c > p) for p, c in pairs),
             "pairs": len(pairs),
         }
+        summary["verdict"] = _verdict(summary, pairs)
     jobs = matched = 0
     for s in seeds:
         a, b = _digests(parent[s]), _digests(change[s])
