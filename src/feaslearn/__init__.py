@@ -17,7 +17,6 @@ from .data import (
     split_train_test,
 )
 from .feasibility import (
-    MultiplierState,
     analytic_dual_opt,
     cserm_objective,
     dual_step_rfl,
@@ -39,7 +38,6 @@ from .trainers import RunRecord, TrainerConfig, feasibility_report, train
 __all__ = [
     "Batch", "Dataset", "batch_iter", "gen_conflicting_pairs", "gen_noisy_cosine",
     "gen_two_moons", "poly_features", "split_train_test",
-    "MultiplierState",
     "analytic_dual_opt", "cserm_objective",
     "dual_step_rfl", "lagrangian_alpha", "lagrangian_rfl_slack",
     "slack_view", "violations",

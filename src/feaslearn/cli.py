@@ -219,7 +219,7 @@ def _seed_metrics(cfg: dict, record: tr.RunRecord, model: md.Model,
             out[f"{split}_accuracy"] = float(np.mean(logits[split].argmax(axis=1) == ds.targets))
     if record.final_train_losses is not None:
         out["sat_fraction"] = float(np.mean(record.final_train_losses <= eps + fs.SAT_TOL))
-    lam = record.multipliers.lam
+    lam = record.multipliers
     out["lam_fraction_zero"] = float(np.mean(lam <= fs.ZERO_MULTIPLIER_TOL))
     out["lam_max"] = float(lam.max())
     if (train_ds.task == dt.CLASSIFICATION and record.config["method"] in (tr.FL, tr.RFL)

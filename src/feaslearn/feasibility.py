@@ -13,7 +13,6 @@ demand from the multipliers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,22 +25,6 @@ BLOWUP_THRESHOLD = 1e12
 SAT_TOL = 1e-8
 # Multipliers at or below this count as zero.
 ZERO_MULTIPLIER_TOL = 1e-12
-
-
-@dataclass
-class MultiplierState:
-    """One non-negative multiplier per training sample, zero-initialized."""
-
-    lam: np.ndarray
-
-    def __post_init__(self):
-        self.lam = np.asarray(self.lam, dtype=np.float64)
-        if (self.lam < 0).any():
-            raise ParameterError("multipliers must be non-negative")
-
-    @classmethod
-    def zeros(cls, n: int) -> "MultiplierState":
-        return cls(lam=np.zeros(n))
 
 
 def violations(g, spec) -> np.ndarray:

@@ -8,6 +8,14 @@ costs exactly one forward and one backward pass, the same as an unweighted
 trainer and the gradient oracle take that backward pass through the same
 function, :func:`weighted_grad`.
 
+``forward_cache`` takes one parameter vector, shape (P,), or a stack of
+them, shape (S, P), through the same code: the predictions then carry the
+leading stack axis, and slice s is bit-equal to the pass at ``theta[s]``
+alone (every slice of a stacked ``np.matmul`` is the BLAS product of that
+vector alone, and the other steps are elementwise). So the trainer and the
+gradient oracle's finite differences run one forward. ``backward`` and
+:class:`Workspace` serve a single parameter vector only.
+
 A :class:`Workspace` holds the per-row arrays of MLP passes (layer outputs,
 backward deltas, ReLU masks), so a training loop that runs thousands of passes
 reuses the same memory instead of faulting in fresh pages on every step. The
@@ -56,6 +64,7 @@ class Workspace:
     array kept under ``key``, made anew only when ``n`` exceeds the rows it
     has (or the width or dtype differs), so batches of up to the largest size
     seen reuse one array. The content is whatever the last user left there.
+    The arrays hold the pass of one parameter vector, never of a stack.
     """
 
     def __init__(self):
@@ -106,7 +115,7 @@ class Model:
 
     def _check_theta(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=np.float64)
-        if theta.shape != (self.n_params,):
+        if theta.shape[-1:] != (self.n_params,):
             raise ShapeError(f"expected {self.n_params} parameters, got shape {theta.shape}")
         return theta
 
@@ -139,9 +148,10 @@ class LinearModel(Model):
         X = np.asarray(features, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ShapeError(f"expected {self.n_features} features, got shape {X.shape}")
-        return X @ theta, X
+        return np.matmul(X, theta[..., None])[..., 0], X
 
     def backward(self, cache, grad_pred):
+        """Gradient of sum(grad_pred * predictions) over a single theta."""
         return cache.T @ np.asarray(grad_pred, dtype=np.float64)
 
 
@@ -224,7 +234,8 @@ class MLP(Model):
 
         Every layer output is written into ``workspace``, or into a fresh
         array when None. The predictions and the cache of a caller's
-        workspace are valid only until its next forward pass.
+        workspace are valid only until its next forward pass. A stack of
+        thetas takes no workspace.
         """
         theta = self._check_theta(theta)
         X = np.asarray(features, dtype=np.float64)
@@ -235,17 +246,18 @@ class MLP(Model):
         a = X
         for i, (W, b) in enumerate(zip(weights, biases)):
             # A workspace buffer or a new array, never X, so the in-place steps never touch the input.
-            a = np.matmul(a, W.T, out=_buffer(workspace, ("out", i), len(X), W.shape[0]))
-            a += b
+            a = np.matmul(a, W.mT, out=_buffer(workspace, ("out", i), len(X), W.shape[-2]))
+            a += b[..., None, :]
             if i < len(weights) - 1:
                 np.maximum(a, 0.0, out=a)
             activations.append(a)
         out = activations[-1]
-        preds = out[:, 0] if self.task == _data.REGRESSION else out
+        preds = out[..., 0] if self.task == _data.REGRESSION else out
         return preds, (weights, activations, workspace)
 
     def backward(self, cache, grad_pred):
-        """Gradient of sum(grad_pred * predictions) over theta, as a fresh flat vector.
+        """Gradient of sum(grad_pred * predictions) over a single theta, as a
+        fresh flat vector.
 
         The deltas and masks go into the workspace of the forward pass that
         made ``cache``, if it had one; the gradient is written straight into
@@ -286,6 +298,11 @@ def model_from_descriptor(descriptor: str) -> Model:
     raise ParameterError(f"unparseable shape descriptor {descriptor!r}")
 
 
+def loss_kind(task: str) -> str:
+    """The per-sample loss a task trains and is checked with."""
+    return CROSS_ENTROPY if task == _data.CLASSIFICATION else SQUARED_ERROR
+
+
 def per_sample_loss(kind: str, predictions, targets, ids=None) -> np.ndarray:
     """Non-negative loss per sample.
 
@@ -317,13 +334,14 @@ def per_sample_loss(kind: str, predictions, targets, ids=None) -> np.ndarray:
     if bad.any():
         named = named_rows(_per_sample(bad.any(axis=-1) if kind == CROSS_ENTROPY else bad), ids)
         raise NumericError(f"non-finite predictions for samples {named}", ids=named)
-    if kind == SQUARED_ERROR:
-        with np.errstate(over="ignore"):
+    # Finite predictions can still overflow; the check below names those samples.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind == SQUARED_ERROR:
             out = (predictions - targets) ** 2
-    else:
-        zmax = predictions.max(axis=-1, keepdims=True)
-        lse = np.log(np.exp(predictions - zmax).sum(axis=-1)) + zmax[..., 0]
-        out = lse - predictions[..., np.arange(len(targets)), targets]
+        else:
+            zmax = predictions.max(axis=-1, keepdims=True)
+            lse = np.log(np.exp(predictions - zmax).sum(axis=-1)) + zmax[..., 0]
+            out = lse - predictions[..., np.arange(len(targets)), targets]
     overflow = ~np.isfinite(out)
     if overflow.any():
         named = named_rows(_per_sample(overflow), ids)

@@ -1,11 +1,12 @@
 """Independent verification machinery.
 
-These routines validate the analytic building blocks without reusing the
-code paths they check: gradients against central finite differences, the
-closed-form dual maximizer against direct evaluation of both objective
-forms, slack elimination against explicit perturbations of the slack-form
-value, and feasibility claims against exhaustive grid search. The test
-suite trusts the trainer only after these pass.
+These routines validate the analytic building blocks against independent
+formulas: hand-written gradients against central finite differences of the
+trainer's own forward pass and losses, the closed-form dual maximizer
+against direct evaluation of both objective forms, slack elimination
+against explicit perturbations of the slack-form value, and feasibility
+claims against exhaustive grid search. The test suite trusts the trainer
+only after these pass.
 """
 
 from __future__ import annotations
@@ -54,28 +55,6 @@ def finite_diff_grad(f, theta, h: float = 1e-6) -> np.ndarray:
     return (plus - minus) / (2.0 * h)
 
 
-def _stacked_forward(model: models.Model, thetas: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """Predictions of ``model`` at every row of ``thetas`` (shape (S, P)), stacked.
-
-    ``features`` are what ``model.featurize`` returns. Slice s is bit-equal
-    to ``model.forward(thetas[s], raw)``: every slice of a stacked
-    ``np.matmul`` is the same BLAS product the model's forward pass takes on
-    that parameter vector alone, and the bias and ReLU steps are elementwise.
-    """
-    if isinstance(model, models.LinearModel):
-        return np.matmul(features, thetas[:, :, None])[..., 0]
-    if isinstance(model, models.MLP):
-        weights, biases = model._unpack(thetas)
-        a = features
-        for i, (W, b) in enumerate(zip(weights, biases)):
-            a = np.matmul(a, np.swapaxes(W, -1, -2))
-            a += b[:, None, :]
-            if i < len(weights) - 1:
-                np.maximum(a, 0.0, out=a)
-        return a[..., 0] if model.task == REGRESSION else a
-    raise ParameterError(f"no stacked forward for {type(model).__name__}")
-
-
 def random_problem(family: str, rng: np.random.Generator):
     """Draw a small random (model, theta, batch, loss kind) instance of a family."""
     n = int(rng.integers(3, 12))
@@ -97,10 +76,8 @@ def random_problem(family: str, rng: np.random.Generator):
         X = rng.normal(size=(n, d))
     else:
         raise ParameterError(f"unknown model family {family!r}")
-    if model.task == CLASSIFICATION:
-        y = rng.integers(0, model.layers[-1], size=n)
-        return model, theta, Batch(np.arange(n), X, y), models.CROSS_ENTROPY
-    return model, theta, Batch(np.arange(n), X, rng.normal(size=n)), models.SQUARED_ERROR
+    y = rng.integers(0, model.layers[-1], size=n) if model.task == CLASSIFICATION else rng.normal(size=n)
+    return model, theta, Batch(np.arange(n), X, y), models.loss_kind(model.task)
 
 
 def check_cserm_identity(model_family: str = "all", n_trials: int = 1000,
@@ -214,8 +191,10 @@ def gradient_check_report(families=DEFAULT_FAMILIES, n_draws: int = 20,
 
     Two gradients per draw: the weighted per-sample loss gradient with random
     non-negative weights, and the clamped-and-squared penalty gradient taken
-    through its envelope weights alpha [g - eps]_+. Reports the worst
-    relative error and the offending coordinate.
+    through its envelope weights alpha [g - eps]_+. The finite differences
+    run the model's own ``forward_cache`` and loss on the whole probe stack,
+    the code the trainer runs on one theta. Reports the worst relative error
+    and the offending coordinate.
     """
     rng = np.random.default_rng(seed)
     out = {"check": "gradients", "tol": tol, "families": {}, "passed": True}
@@ -230,10 +209,10 @@ def gradient_check_report(families=DEFAULT_FAMILIES, n_draws: int = 20,
             features = model.featurize(batch.features)
 
             def stacked_losses(thetas):
-                return models.per_sample_loss(kind, _stacked_forward(model, thetas, features),
+                return models.per_sample_loss(kind, model.forward_cache(thetas, features)[0],
                                               batch.targets)
 
-            g0 = models.per_sample_loss(kind, model.forward(theta, batch.features), batch.targets)
+            g0 = stacked_losses(theta)
             checks = [
                 ("weighted", weights, lambda thetas: np.vecdot(stacked_losses(thetas), weights)),
                 ("envelope", fs.analytic_dual_opt(g0, eps, alpha),
@@ -277,7 +256,7 @@ def brute_force_feasible(dataset: Dataset, spec, model: models.Model,
     """
     if model.n_params > 2:
         raise ParameterError("brute force search supports at most 2 parameters")
-    kind = models.SQUARED_ERROR if dataset.task == REGRESSION else models.CROSS_ENTROPY
+    kind = models.loss_kind(dataset.task)
     axes = _grid_axes(model.n_params, grid)
     best_theta, best_maxviol = None, math.inf
     for point in itertools.product(*axes):

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import feasibility as fs
 from . import models
-from .data import CLASSIFICATION, Batch, Dataset, batch_iter, combine_seed, epoch_rng
+from .data import Batch, Dataset, batch_iter, combine_seed, epoch_rng
 from .errors import NumericError, ParameterError
 
 ERM = "erm"
@@ -125,7 +125,7 @@ class RunRecord:
     trajectory: list[dict]
     final_train_losses: np.ndarray | None
     final_test_losses: np.ndarray | None
-    multipliers: fs.MultiplierState
+    multipliers: np.ndarray  # lambda of each training sample, indexed by id
     params: models.ModelParams
     status: str
     abort_reason: str | None
@@ -193,10 +193,6 @@ def _make_optimizer(config: TrainerConfig):
     return _AdamW(config.weight_decay)
 
 
-def _loss_kind(dataset: Dataset) -> str:
-    return models.CROSS_ENTROPY if dataset.task == CLASSIFICATION else models.SQUARED_ERROR
-
-
 def _featurized(model: models.Model, dataset: Dataset) -> Batch:
     # A Batch, not a Dataset: an expansion that overflows must abort the run
     # as a non-finite prediction, not be rejected as invalid input.
@@ -243,14 +239,14 @@ def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
     """
     if test_ds is not None and test_ds.task != train_ds.task:
         raise ParameterError("train and test datasets must share a task")
-    kind = _loss_kind(train_ds)
+    kind = models.loss_kind(train_ds.task)
     n = train_ds.n_samples
     try:
         eps = np.broadcast_to(np.asarray(config.eps, dtype=np.float64), (n,)).copy()
     except ValueError:
         raise ParameterError(f"eps must be a scalar or a length-{n} vector")
     theta = model.init_params(config.seed)
-    mult = fs.MultiplierState.zeros(n)
+    lam = np.zeros(n)
     optimizer = _make_optimizer(config)
     batch_size = config.batch_size if config.batch_size is not None else n
     steps_per_epoch = math.ceil(n / batch_size)
@@ -291,9 +287,9 @@ def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
                     if config.analytic_dual:
                         lam_new = fs.analytic_dual_opt(g, eps_b, config.alpha)
                     else:
-                        lam_new = fs.dual_step_rfl(mult.lam[batch.ids], v, config.eta_lambda,
+                        lam_new = fs.dual_step_rfl(lam[batch.ids], v, config.eta_lambda,
                                                    config.alpha, batch.ids)
-                    mult.lam[batch.ids] = lam_new
+                    lam[batch.ids] = lam_new
                     if lam_new.max() > fs.BLOWUP_THRESHOLD:
                         blown = batch.ids[lam_new > fs.BLOWUP_THRESHOLD]
                         raise NumericError(
@@ -352,10 +348,10 @@ def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
             "train_accuracy": train_acc,
             "sat_fraction": np.count_nonzero(train_losses <= eps + fs.SAT_TOL) / n,
             "max_step_violation": max_step_violation,
-            "lam_min": float(mult.lam.min()),
-            "lam_mean": float(mult.lam.sum()) / n,
-            "lam_max": float(mult.lam.max()),
-            "lam_frac_zero": np.count_nonzero(mult.lam <= fs.ZERO_MULTIPLIER_TOL) / n,
+            "lam_min": float(lam.min()),
+            "lam_mean": float(lam.sum()) / n,
+            "lam_max": float(lam.max()),
+            "lam_frac_zero": np.count_nonzero(lam <= fs.ZERO_MULTIPLIER_TOL) / n,
             "test_mean_loss": math.nan,
             "test_max_loss": math.nan,
             "test_accuracy": math.nan,
@@ -389,7 +385,7 @@ def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
         trajectory=trajectory,
         final_train_losses=final_train,
         final_test_losses=final_test,
-        multipliers=mult,
+        multipliers=lam,
         params=models.ModelParams(theta=theta, descriptor=model.descriptor()),
         status="completed" if abort is None else "aborted",
         abort_reason=abort_reason,
@@ -411,7 +407,8 @@ def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
 
 def feasibility_report(model: models.Model, theta, dataset: Dataset, spec) -> dict:
     """Count satisfied constraints and name the violated ones at the current theta."""
-    losses, _ = _eval_split(model, theta, _featurized(model, dataset), _loss_kind(dataset))
+    losses, _ = _eval_split(model, theta, _featurized(model, dataset),
+                             models.loss_kind(dataset.task))
     v = fs.violations(losses, spec)
     violating = dataset.ids[v > fs.SAT_TOL]
     return {
@@ -444,7 +441,7 @@ def save_run(record: RunRecord, outdir) -> None:
             fh.write(",".join([str(int(row["epoch"]))] + [repr(float(row[c])) for c in stats]) + "\n")
     for name, column, values in (("final_losses_train.csv", "loss", record.final_train_losses),
                                  ("final_losses_test.csv", "loss", record.final_test_losses),
-                                 ("multipliers.csv", "lambda", record.multipliers.lam)):
+                                 ("multipliers.csv", "lambda", record.multipliers)):
         with open(os.path.join(outdir, name), "w") as fh:
             fh.write(f"id,{column}\n")
             for i, value in enumerate(values if values is not None else ()):

@@ -115,11 +115,11 @@ def test_p6_infeasibility_dynamics():
               primal_optimizer="sgd", seed=0)
     rec_fl = train(TrainerConfig(method="fl", **kw), model, ds)
     rec_rfl = train(TrainerConfig(method="rfl", alpha=1.0, **kw), model, ds)
-    max_fl = float(rec_fl.multipliers.lam.max())
-    max_rfl = float(rec_rfl.multipliers.lam.max())
+    max_fl = float(rec_fl.multipliers.max())
+    max_rfl = float(rec_rfl.multipliers.max())
     V = max(r["max_step_violation"] for r in rec_rfl.trajectory)
     bound = 1.0 * V + 1e-2 * V
-    bounded = bool(np.all(rec_rfl.multipliers.lam <= bound))
+    bounded = bool(np.all(rec_rfl.multipliers <= bound))
     elapsed = time.perf_counter() - start
     ok = (rec_fl.status == "completed" and rec_rfl.status == "completed"
           and max_fl > 10.0 * max_rfl and bounded and elapsed < 60.0)
@@ -142,7 +142,7 @@ def test_p7_two_moons_multiplier_informativity():
         sat = rec.trajectory[-1]["sat_fraction"]
         logits = model.forward(rec.params.theta, ds.features)
         margins = classification_margins(logits, ds.targets)
-        rho, degenerate = metrics.margin_multiplier_correlation(rec.multipliers.lam, margins)
+        rho, degenerate = metrics.margin_multiplier_correlation(rec.multipliers, margins)
         informative.append((not degenerate) and rho > 0.3)
         satisfied.append(sat >= 0.95)
     elapsed = time.perf_counter() - start

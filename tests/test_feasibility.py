@@ -1,4 +1,5 @@
 import math
+import tempfile
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import strategies as st
 
 from feaslearn import feasibility as fs
 from feaslearn import models, oracle
-from feaslearn.data import Batch
+from feaslearn.data import Batch, gen_noisy_cosine
 from feaslearn.errors import NumericError, ParameterError, ShapeError
+from feaslearn.trainers import TrainerConfig, load_run, save_run, train
 
 nonneg_vec = st.lists(st.floats(0, 10), min_size=1, max_size=8).map(np.array)
 
@@ -260,11 +262,25 @@ class TestEnvelopeGradient:
         assert rel < 1e-5
 
 
-class TestBookkeepingTypes:
-    def test_multiplier_state_starts_at_zero(self):
-        state = fs.MultiplierState.zeros(4)
-        assert np.all(state.lam == 0.0)
-
-    def test_multiplier_state_rejects_negative(self):
-        with pytest.raises(ParameterError):
-            fs.MultiplierState(np.array([-0.1]))
+class TestMultipliers:
+    # Non-negativity rests on the projections in dual_step_rfl and analytic_dual_opt.
+    @settings(max_examples=20, deadline=None)
+    @given(method=st.sampled_from([("fl", False), ("rfl", False), ("rfl", True)]),
+           seed=st.integers(0, 2**16), eps=st.floats(0.0, 0.6),
+           log_eta=st.floats(-2.0, 1.0), log_alpha=st.floats(-1.0, 1.0),
+           batch_size=st.sampled_from([None, 4]))
+    def test_non_negative_and_bit_equal_after_reload(self, method, seed, eps, log_eta,
+                                                     log_alpha, batch_size):
+        name, analytic = method
+        cfg = TrainerConfig(method=name, analytic_dual=analytic, eps=eps, epochs=6,
+                            eta_theta=0.05, eta_lambda=10.0 ** log_eta,
+                            alpha=10.0 ** log_alpha if name == "rfl" else "inf",
+                            batch_size=batch_size, seed=seed)
+        record = train(cfg, models.PolyModel(3, "chebyshev", (0.0, 1.0)),
+                       gen_noisy_cosine(10, 0.3, seed))
+        lam = record.multipliers
+        assert isinstance(lam, np.ndarray) and lam.shape == (10,) and np.all(lam >= 0.0)
+        with tempfile.TemporaryDirectory() as outdir:
+            save_run(record, outdir)
+            back = load_run(outdir).multipliers
+        assert back.dtype == lam.dtype and back.tobytes() == lam.tobytes()

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +36,14 @@ class TestForward:
             model.forward(np.zeros(3), np.zeros((2, 4)))
         with pytest.raises(ShapeError):
             model.forward(np.zeros(4), np.zeros((2, 3)))
+        # a stack of thetas whose last axis is not P
+        for thetas in (np.zeros((2, 4)), np.zeros((3, 2))):
+            message = f"expected 3 parameters, got shape {thetas.shape}"
+            with pytest.raises(ShapeError, match=re.escape(message)):
+                model.forward(thetas, np.zeros((2, 3)))
+        mlp = models.MLP((2, 3, 1), "regression")
+        with pytest.raises(ShapeError):
+            mlp.forward(np.zeros((2, mlp.n_params + 1)), np.zeros((4, 2)))
 
     def test_one_dimensional_features_raise_shape_error(self):
         with pytest.raises(ShapeError, match=r"expected 3 features, got shape \(3,\)"):
@@ -101,6 +111,18 @@ class TestPerSampleLoss:
                 np.errstate(over="ignore"):
             models.per_sample_loss(kind, preds, targets, ids)
         assert err.value.ids == [12]
+
+    @pytest.mark.parametrize("kind", [models.SQUARED_ERROR, models.CROSS_ENTROPY])
+    def test_overflowing_losses_raise_without_warning(self, kind):
+        ids = np.array([5, 6])
+        if kind == models.SQUARED_ERROR:
+            preds, targets = np.array([0.0, 1e200]), np.zeros(2)
+        else:
+            preds, targets = np.array([[0.0, 0.0], [-1e308, 1e308]]), np.zeros(2, dtype=int)
+        with pytest.raises(NumericError, match=r"non-finite losses for samples \[6\]"), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            models.per_sample_loss(kind, preds, targets, ids)
 
     def test_targets_must_be_one_per_sample(self):
         with pytest.raises(ShapeError):

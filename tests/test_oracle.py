@@ -274,7 +274,7 @@ def test_stacked_forward_slices_equal_model_forward_bitwise(family, seed, extra_
     p = model.n_params
     probes = np.concatenate([theta + 1e-6 * np.eye(p), theta - 1e-6 * np.eye(p),
                              rng.normal(size=(extra_rows, p))])
-    stacked = oracle._stacked_forward(model, probes, model.featurize(batch.features))
+    stacked, _ = model.forward_cache(probes, model.featurize(batch.features))
     single = [model.forward(th, batch.features) for th in probes]
     assert stacked.shape == (len(probes),) + single[0].shape
     for s, preds in enumerate(single):

@@ -71,7 +71,7 @@ class TestConfigValidation:
         scalar = train(TrainerConfig(eps=0.2, **kw), models.LinearModel(1), ds)
         vector = train(TrainerConfig(eps=[0.2] * ds.n_samples, **kw), models.LinearModel(1), ds)
         assert scalar.trajectory == vector.trajectory
-        assert np.array_equal(scalar.multipliers.lam, vector.multipliers.lam)
+        assert np.array_equal(scalar.multipliers, vector.multipliers)
         assert np.array_equal(scalar.params.theta, vector.params.theta)
 
     def test_per_sample_eps_follows_sample_ids(self):
@@ -81,7 +81,7 @@ class TestConfigValidation:
         eps = [1e6] * 5 + [0.0]
         cfg = TrainerConfig(method="fl", eta_theta=1e-3, eta_lambda=0.5, eps=eps, epochs=3,
                             batch_size=2, seed=0)
-        lam = train(cfg, models.LinearModel(1), ds).multipliers.lam
+        lam = train(cfg, models.LinearModel(1), ds).multipliers
         assert lam[5] > 0.0 and np.all(lam[:5] == 0.0)
 
     def test_negative_eps_rejected(self):
@@ -104,7 +104,7 @@ class TestFixedPoints:
         cfg = TrainerConfig(method="fl", eta_theta=0.1, eta_lambda=0.5, eps=eps,
                             epochs=20, primal_optimizer=optimizer, seed=0)
         record = train(cfg, model, ds)
-        assert np.all(record.multipliers.lam == 0.0)
+        assert np.all(record.multipliers == 0.0)
         assert np.all(record.params.theta == 0.0)
 
     def test_erm_full_batch_matches_plain_gradient_descent(self):
@@ -214,7 +214,7 @@ class TestStepProtocol:
         expected_theta = 0.0 - eta_t * lam1 * 2.0 * (0.0 - 2.0) * 1.0
         assert record.params.theta[0] == pytest.approx(expected_theta, abs=1e-15)
         assert record.params.theta[0] != 0.0
-        assert record.multipliers.lam[0] == pytest.approx(lam1, abs=1e-15)
+        assert record.multipliers[0] == pytest.approx(lam1, abs=1e-15)
 
     def test_manual_two_batch_simulation_matches_trainer_bitwise(self):
         # replays the coordinate-wise protocol by hand: batch order from the
@@ -244,7 +244,7 @@ class TestStepProtocol:
                 dpred = lam[batch.ids] * (2.0 * (preds - batch.targets))
                 theta = theta - eta_t * (batch.features.T @ dpred)
         assert np.array_equal(record.params.theta, theta)
-        assert np.array_equal(record.multipliers.lam, lam)
+        assert np.array_equal(record.multipliers, lam)
 
     def test_multipliers_outside_batch_are_bitwise_stale(self):
         rng = np.random.default_rng(1)
@@ -267,8 +267,8 @@ class TestStepProtocol:
         theta_after_one = theta_after_one - 1e-4 * (batches[0].features.T @ dpred)
         preds2 = batches[1].features @ theta_after_one
         lam_b2 = np.maximum(0.1 * ((preds2 - batches[1].targets) ** 2), 0.0)
-        assert np.array_equal(record.multipliers.lam[second], lam_b2)
-        assert np.array_equal(record.multipliers.lam[first], lam_b1)
+        assert np.array_equal(record.multipliers[second], lam_b2)
+        assert np.array_equal(record.multipliers[first], lam_b1)
 
     def test_interleaved_runs_match_sequential_runs(self, monkeypatch):
         # Each train() call owns its shuffle generator: a whole run started in
@@ -295,7 +295,7 @@ class TestStepProtocol:
         for seq, inter in zip(sequential, interleaved):
             assert inter.trajectory == seq.trajectory
             assert np.array_equal(inter.params.theta, seq.params.theta)
-            assert np.array_equal(inter.multipliers.lam, seq.multipliers.lam)
+            assert np.array_equal(inter.multipliers, seq.multipliers)
             assert inter.train_pass_counts == seq.train_pass_counts
 
     @pytest.mark.parametrize("n", [37, 601])
@@ -307,7 +307,7 @@ class TestStepProtocol:
         cfg = TrainerConfig(method="fl", eta_theta=0.05, eta_lambda=0.3, eps=0.3,
                             batch_size=5, epochs=3, primal_optimizer="adamw", seed=2)
         record = train(cfg, model, train_ds, test_ds)
-        last, lam = record.trajectory[-1], record.multipliers.lam
+        last, lam = record.trajectory[-1], record.multipliers
         logits = model.forward(record.params.theta, train_ds.features)
         assert 0 < last["lam_frac_zero"] < 1
         assert last["train_mean_loss"] == float(np.mean(record.final_train_losses))
@@ -327,7 +327,7 @@ class TestStepProtocol:
         a = train(cfg, model, ds)
         b = train(cfg, model, ds)
         assert np.array_equal(a.params.theta, b.params.theta)
-        assert np.array_equal(a.multipliers.lam, b.multipliers.lam)
+        assert np.array_equal(a.multipliers, b.multipliers)
         for ra, rb in zip(a.trajectory, b.trajectory):
             assert ra == rb
 
@@ -394,9 +394,9 @@ class TestInfeasibleDynamics:
         rec_fl = train(TrainerConfig(method="fl", **kw), model, ds)
         rec_rfl = train(TrainerConfig(method="rfl", alpha=1.0, **kw), model, ds)
         assert rec_fl.status == "completed" and rec_rfl.status == "completed"
-        assert rec_fl.multipliers.lam.max() > 5 * rec_rfl.multipliers.lam.max()
+        assert rec_fl.multipliers.max() > 5 * rec_rfl.multipliers.max()
         V = max(r["max_step_violation"] for r in rec_rfl.trajectory)
-        assert np.all(rec_rfl.multipliers.lam <= 1.0 * V + 1e-2 * V)
+        assert np.all(rec_rfl.multipliers <= 1.0 * V + 1e-2 * V)
 
     def test_dual_blowup_aborts_with_sample_ids(self):
         ds = data.gen_conflicting_pairs(2, 1, 2.0, 0)
@@ -485,7 +485,7 @@ class TestRunRecordPersistence:
         assert back.status == "completed"
         assert np.array_equal(back.train_losses, record.final_train_losses)
         assert np.array_equal(back.test_losses, record.final_test_losses)
-        assert np.array_equal(back.multipliers, record.multipliers.lam)
+        assert np.array_equal(back.multipliers, record.multipliers)
         assert np.array_equal(back.params.theta, record.params.theta)
         assert len(back.trajectory["epoch"]) == 3
         for column in trainers.TRAJECTORY_COLUMNS:
@@ -597,7 +597,7 @@ class TestFeaturizeOnce:
         assert poly.status == lin.status == "completed"
         assert poly.trajectory == lin.trajectory
         assert np.array_equal(poly.params.theta, lin.params.theta)
-        assert np.array_equal(poly.multipliers.lam, lin.multipliers.lam)
+        assert np.array_equal(poly.multipliers, lin.multipliers)
         assert np.array_equal(poly.final_test_losses, lin.final_test_losses)
 
     def test_poly_features_calls_do_not_grow_with_epochs(self, monkeypatch):
@@ -644,7 +644,7 @@ class TestWorkspaceBitIdentity:
         def raw(a):
             return None if a is None else a.tobytes()
         return ([[repr(v) for v in row.values()] for row in record.trajectory],
-                raw(record.params.theta), raw(record.multipliers.lam),
+                raw(record.params.theta), raw(record.multipliers),
                 raw(record.final_train_losses), raw(record.final_test_losses),
                 record.status, record.abort_reason, record.abort, record.train_pass_counts)
 
