@@ -33,7 +33,7 @@ from .models import (
     per_sample_loss,
     weighted_loss_grad,
 )
-from .trainers import RunRecord, TrainerConfig, feasibility_report, train
+from .trainers import RunRecord, TrainerConfig, train
 
 __all__ = [
     "Batch", "Dataset", "batch_iter", "gen_conflicting_pairs", "gen_noisy_cosine",
@@ -43,7 +43,7 @@ __all__ = [
     "slack_view", "violations",
     "MLP", "LinearModel", "ModelParams", "PolyModel", "per_sample_loss",
     "weighted_loss_grad",
-    "RunRecord", "TrainerConfig", "feasibility_report", "train",
+    "RunRecord", "TrainerConfig", "train",
 ]
 
 __version__ = "0.1.0"

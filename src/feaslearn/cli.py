@@ -206,8 +206,8 @@ def _seed_metrics(cfg: dict, record: tr.RunRecord, model: md.Model,
     eps = np.asarray(record.config["eps"], dtype=np.float64)
     out = {"status": record.status, "wall_clock_s": record.wall_clock_s}
     logits = {}
-    for split, losses, ds in (("train", record.final_train_losses, train_ds),
-                              ("test", record.final_test_losses, test_ds)):
+    for split, losses, ds in (("train", record.train_losses, train_ds),
+                              ("test", record.test_losses, test_ds)):
         if losses is None:
             continue
         out[f"{split}_mean_loss"] = float(losses.mean())
@@ -217,13 +217,13 @@ def _seed_metrics(cfg: dict, record: tr.RunRecord, model: md.Model,
         if ds is not None and ds.task == dt.CLASSIFICATION:
             logits[split] = model.forward(record.params.theta, ds.features)
             out[f"{split}_accuracy"] = float(np.mean(logits[split].argmax(axis=1) == ds.targets))
-    if record.final_train_losses is not None:
-        out["sat_fraction"] = float(np.mean(record.final_train_losses <= eps + fs.SAT_TOL))
+    if record.train_losses is not None:
+        out["sat_fraction"] = float(np.mean(record.train_losses <= eps + fs.SAT_TOL))
     lam = record.multipliers
     out["lam_fraction_zero"] = float(np.mean(lam <= fs.ZERO_MULTIPLIER_TOL))
     out["lam_max"] = float(lam.max())
     if (train_ds.task == dt.CLASSIFICATION and record.config["method"] in (tr.FL, tr.RFL)
-            and record.final_train_losses is not None):
+            and record.train_losses is not None):
         margins = md.classification_margins(logits["train"], train_ds.targets)
         rho, degenerate = mt.margin_multiplier_correlation(lam, margins)
         out["margin_multiplier_spearman"] = rho
@@ -467,8 +467,8 @@ def compare(run_dirs, quantiles=None, out_dir="comparison", svg: bool = False) -
             curves.setdefault(split, {})[label] = {"cdf": cdf_pts, "cvar": cvar_pts}
             means = [float(getattr(m, f"{split}_losses").mean()) for m in done]
             maxes = [float(getattr(m, f"{split}_losses").max()) for m in done]
-            accs = [m.trajectory[f"{split}_accuracy"][-1] for m in done
-                    if len(m.trajectory["epoch"]) and np.isfinite(m.trajectory[f"{split}_accuracy"][-1:]).all()]
+            accs = [m.trajectory[-1][f"{split}_accuracy"] for m in done
+                    if m.trajectory and np.isfinite(m.trajectory[-1][f"{split}_accuracy"])]
             row = {"method": label, "split": split, "n_runs": len(done),
                    "mean_loss": float(np.mean(means)), "mean_loss_std": float(np.std(means)),
                    "max_loss": float(np.mean(maxes)), "max_loss_std": float(np.std(maxes))}

@@ -15,7 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError, ShapeError, named_rows
 
 REGRESSION = "regression"
 CLASSIFICATION = "classification"
@@ -62,6 +62,9 @@ class Dataset:
         if not np.array_equal(self.ids, np.arange(n)):  # rows given out of id order
             order = np.argsort(self.ids)
             self.features, self.targets, self.ids = self.features[order], self.targets[order], self.ids[order]
+        if self.task == REGRESSION and not np.all(np.isfinite(self.targets)):
+            raise ParameterError(f"regression targets of samples "
+                                 f"{named_rows(~np.isfinite(self.targets), self.ids)} are not finite")
 
     @property
     def n_samples(self) -> int:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError
-from .feasibility import ZERO_MULTIPLIER_TOL
 
 
 def empirical_cdf(losses) -> list[tuple[float, float]]:
@@ -37,20 +36,6 @@ def cvar(losses, q: float) -> float:
     losses = np.asarray(losses, dtype=np.float64)
     var = empirical_quantile(losses, q)
     return float(var + np.maximum(losses - var, 0.0).mean() / (1.0 - q))
-
-
-def multiplier_stats(lam, k: int, tol: float = ZERO_MULTIPLIER_TOL) -> dict:
-    """Fraction of (near-)zero multipliers, ids of the k largest, and deciles."""
-    lam = np.asarray(lam, dtype=np.float64)
-    if k > lam.size:
-        raise ParameterError("k cannot exceed the number of multipliers")
-    order = np.argsort(lam, kind="stable")
-    top = order[::-1][:k]
-    return {
-        "fraction_zero": float(np.mean(lam <= tol)),
-        "top_k_ids": [int(i) for i in top],
-        "percentiles": {f"p{p}": float(np.percentile(lam, p)) for p in range(0, 101, 10)},
-    }
 
 
 def margin_multiplier_correlation(lam, margins) -> tuple[float, bool]:

@@ -235,9 +235,11 @@ class MLP(Model):
         Every layer output is written into ``workspace``, or into a fresh
         array when None. The predictions and the cache of a caller's
         workspace are valid only until its next forward pass. A stack of
-        thetas takes no workspace.
+        thetas takes no workspace (ShapeError).
         """
         theta = self._check_theta(theta)
+        if workspace is not None and theta.ndim != 1:
+            raise ShapeError(f"a workspace takes one theta, shape ({self.n_params},); got {theta.shape}")
         X = np.asarray(features, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.layers[0]:
             raise ShapeError(f"expected input width {self.layers[0]}, got shape {X.shape}")

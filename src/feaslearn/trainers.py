@@ -22,7 +22,6 @@ import numbers
 import os
 import time
 from dataclasses import asdict, dataclass, field, fields
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -121,10 +120,12 @@ class TrainerConfig:
 
 @dataclass
 class RunRecord:
+    """One run: what ``train()`` returns and ``load_run()`` reads back from its directory."""
+
     config: dict
-    trajectory: list[dict]
-    final_train_losses: np.ndarray | None
-    final_test_losses: np.ndarray | None
+    trajectory: list[dict]  # one row per epoch, keyed by TRAJECTORY_COLUMNS
+    train_losses: np.ndarray | None  # final per-sample losses, indexed by id
+    test_losses: np.ndarray | None
     multipliers: np.ndarray  # lambda of each training sample, indexed by id
     params: models.ModelParams
     status: str
@@ -138,6 +139,15 @@ class RunRecord:
     @property
     def aborted(self) -> bool:
         return self.status != "completed"
+
+    @property
+    def meta(self) -> dict:
+        """The fields that ``meta.json`` holds."""
+        return {name: getattr(self, name) for name in _META_FIELDS}
+
+
+_META_FIELDS = ("status", "abort_reason", "abort", "wall_clock_s", "train_pass_counts",
+                "phase_s", "metadata")
 
 
 class _Sgd:
@@ -383,8 +393,8 @@ def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
     return RunRecord(
         config=config_echo,
         trajectory=trajectory,
-        final_train_losses=final_train,
-        final_test_losses=final_test,
+        train_losses=final_train,
+        test_losses=final_test,
         multipliers=lam,
         params=models.ModelParams(theta=theta, descriptor=model.descriptor()),
         status="completed" if abort is None else "aborted",
@@ -399,23 +409,10 @@ def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
             "model": model.descriptor(),
             "activation": "relu" if isinstance(model, models.MLP) else "none",
             "init": "uniform_fan_in" if isinstance(model, models.MLP) else "zeros",
-            "adamw_defaults": ADAMW_DEFAULTS,
+            "adamw_defaults": dict(ADAMW_DEFAULTS),
             "steps_per_epoch": steps_per_epoch,
         },
     )
-
-
-def feasibility_report(model: models.Model, theta, dataset: Dataset, spec) -> dict:
-    """Count satisfied constraints and name the violated ones at the current theta."""
-    losses, _ = _eval_split(model, theta, _featurized(model, dataset),
-                             models.loss_kind(dataset.task))
-    v = fs.violations(losses, spec)
-    violating = dataset.ids[v > fs.SAT_TOL]
-    return {
-        "satisfied_count": int(np.sum(v <= fs.SAT_TOL)),
-        "max_violation": float(np.maximum(v, 0.0).max()),
-        "violating_ids": [int(i) for i in violating],
-    }
 
 
 def save_run(record: RunRecord, outdir) -> None:
@@ -439,8 +436,8 @@ def save_run(record: RunRecord, outdir) -> None:
         stats = TRAJECTORY_COLUMNS[1:]
         for row in record.trajectory:
             fh.write(",".join([str(int(row["epoch"]))] + [repr(float(row[c])) for c in stats]) + "\n")
-    for name, column, values in (("final_losses_train.csv", "loss", record.final_train_losses),
-                                 ("final_losses_test.csv", "loss", record.final_test_losses),
+    for name, column, values in (("final_losses_train.csv", "loss", record.train_losses),
+                                 ("final_losses_test.csv", "loss", record.test_losses),
                                  ("multipliers.csv", "lambda", record.multipliers)):
         with open(os.path.join(outdir, name), "w") as fh:
             fh.write(f"id,{column}\n")
@@ -449,15 +446,8 @@ def save_run(record: RunRecord, outdir) -> None:
     models.save_checkpoint(os.path.join(outdir, "checkpoint.bin"), record.params)
     persist = time.perf_counter() - start
     with open(meta_path, "w") as fh:
-        json.dump({
-            "status": record.status,
-            "abort_reason": record.abort_reason,
-            "abort": record.abort,
-            "wall_clock_s": record.wall_clock_s,
-            "train_pass_counts": record.train_pass_counts,
-            "phase_s": {**record.phase_s, "persist": persist},
-            "metadata": record.metadata,
-        }, fh, indent=2, sort_keys=True)
+        json.dump({**record.meta, "phase_s": {**record.phase_s, "persist": persist}},
+                  fh, indent=2, sort_keys=True)
         fh.write("\n")
     with open(status_path, "w") as fh:
         fh.write("completed\n" if record.status == "completed"
@@ -472,27 +462,26 @@ def _read_loss_csv(path) -> np.ndarray | None:
     return np.array([float(r.split(",")[1]) for r in rows])
 
 
-def load_run(outdir) -> SimpleNamespace:
-    """Reload persisted artifacts; enough for comparison reports, no retraining."""
+def load_run(outdir) -> RunRecord:
+    """Read a run directory back into the RunRecord that ``train()`` returned,
+    without retraining. Its ``phase_s`` also holds the ``persist`` time that
+    ``save_run`` added."""
     with open(os.path.join(outdir, "config.json")) as fh:
         config = json.load(fh)
     with open(os.path.join(outdir, "meta.json")) as fh:
         meta = json.load(fh)
     with open(os.path.join(outdir, "trajectory.csv")) as fh:
-        lines = fh.read().strip().splitlines()
-    trajectory = {c: [] for c in TRAJECTORY_COLUMNS}
-    for line in lines[1:]:
-        for c, raw in zip(TRAJECTORY_COLUMNS, line.split(",")):
-            trajectory[c].append(float(raw))
-    trajectory = {c: np.array(v) for c, v in trajectory.items()}
+        fh.readline()  # the header, TRAJECTORY_COLUMNS
+        trajectory = [dict(zip(TRAJECTORY_COLUMNS, map(float, line.split(",")))) for line in fh]
+    for row in trajectory:
+        row["epoch"] = int(row["epoch"])
     lam = _read_loss_csv(os.path.join(outdir, "multipliers.csv"))
-    return SimpleNamespace(
+    return RunRecord(
         config=config,
-        meta=meta,
         trajectory=trajectory,
         train_losses=_read_loss_csv(os.path.join(outdir, "final_losses_train.csv")),
         test_losses=_read_loss_csv(os.path.join(outdir, "final_losses_test.csv")),
         multipliers=lam if lam is not None else np.zeros(0),
         params=models.load_checkpoint(os.path.join(outdir, "checkpoint.bin")),
-        status=meta["status"],
+        **meta,
     )

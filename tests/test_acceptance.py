@@ -187,8 +187,8 @@ def test_p8_tail_shaping(tmp_path):
             curves[label] = {float(q): float(v) for q, v in rows}
         for q in quantiles:
             wins[q] += curves["rfl_alpha1.0"][q] <= curves["erm"][q]
-        erm_means.append(float(rec_erm.final_test_losses.mean()))
-        rfl_means.append(float(rec_rfl.final_test_losses.mean()))
+        erm_means.append(float(rec_erm.test_losses.mean()))
+        rfl_means.append(float(rec_rfl.test_losses.mean()))
     mean_ratio = float(np.mean(rfl_means) / np.mean(erm_means))
     elapsed = time.perf_counter() - start
     ok = all(wins[q] >= 4 for q in quantiles) and mean_ratio <= 1.25 and elapsed < 180.0

@@ -279,7 +279,12 @@ class TestRunExperiment:
         ("id,feat_0,target\n0,0.5,1.0\n1,abc,2.0\n", "line 3: could not convert string to float: 'abc'"),
         # a decoding error under a UTF-8 locale, a bad header under others
         (b"\xff\xfeid,feat_0,target\n", "config field 'dataset"),
-    ], ids=["no_path", "missing_file", "empty_file", "non_numeric_cell", "not_utf8"])
+        ("id,feat_0,target\n0,0.1,1.0\n1,0.5,nan\n2,0.9,0.0\n3,0.3,1.0\n",
+         "config field 'dataset': regression targets of samples [1] are not finite"),
+        ("id,feat_0,target\n3,0.1,1.0\n0,0.5,2.0\n2,0.9,inf\n1,0.3,-inf\n",
+         "config field 'dataset': regression targets of samples [1, 2] are not finite"),
+    ], ids=["no_path", "missing_file", "empty_file", "non_numeric_cell", "not_utf8",
+            "nan_target", "infinite_targets"])
     def test_bad_csv_dataset_exits_two(self, tmp_path, capsys, content, named):
         dataset = {"generator": "csv", "task": "regression"}
         if content is not None:
@@ -352,7 +357,7 @@ class TestRunExperiment:
         summary = cli.run_experiment(cfg)
         per_seed = summary["per_seed"]["0"]
         assert per_seed["status"] == "completed"
-        last = {k: v[-1] for k, v in trainers.load_run(tmp_path / "cosine_fl" / "seed_0").trajectory.items()}
+        last = trainers.load_run(tmp_path / "cosine_fl" / "seed_0").trajectory[-1]
         assert per_seed["sat_fraction"] == last["sat_fraction"]
         assert per_seed["lam_fraction_zero"] == last["lam_frac_zero"]
 
@@ -407,7 +412,7 @@ class TestIdOrder:
                                   "regression", {"family": "linear"},
                                   {"method": "fl", "eps": [0.0, 0.0, 100.0], "epochs": 2})
         assert run.train_losses.tolist() == [0.0, 0.0, 25.0]
-        assert run.trajectory["sat_fraction"].tolist() == [1.0, 1.0]
+        assert [row["sat_fraction"] for row in run.trajectory] == [1.0, 1.0]
         assert per_seed["sat_fraction"] == 1.0
 
     def test_margin_correlation_pairs_multipliers_and_margins_by_id(self, tmp_path, capsys):

@@ -229,6 +229,13 @@ class TestDatasetContract:
             data.Dataset(features=np.array([[np.inf]]), targets=np.zeros(1),
                          ids=np.array([0]), task="regression")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_regression_targets_must_be_finite(self, bad):
+        # row 2 holds sample id 1
+        with pytest.raises(ParameterError, match=r"regression targets of samples \[1\] are not finite"):
+            data.Dataset(features=np.zeros((4, 1)), targets=np.array([0.0, 1.0, bad, 2.0]),
+                         ids=np.array([3, 2, 1, 0]), task="regression")
+
     def test_classification_targets_must_be_integral(self):
         with pytest.raises(ParameterError, match="integer labels"):
             data.Dataset(features=np.zeros((2, 1)), targets=np.array([0.0, 1.7]),

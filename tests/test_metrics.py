@@ -77,31 +77,6 @@ class TestCvar:
             assert metrics.cvar(dominating, q) >= metrics.cvar(dominated, q) - 1e-12
 
 
-class TestMultiplierStats:
-    def test_all_zero_vector(self):
-        out = metrics.multiplier_stats(np.zeros(10), k=3)
-        assert out["fraction_zero"] == 1.0
-
-    def test_top_id_picks_largest(self):
-        out = metrics.multiplier_stats(np.array([0.0, 0.2, 6.0]), k=1)
-        assert out["top_k_ids"] == [2]
-
-    def test_zero_and_positive_fractions_sum_to_one(self):
-        lam = np.array([0.0, 0.5, 0.0, 1.2, 3.0])
-        out = metrics.multiplier_stats(lam, k=2)
-        positive = np.mean(lam > 1e-12)
-        assert out["fraction_zero"] + positive == pytest.approx(1.0)
-
-    def test_percentile_keys(self):
-        out = metrics.multiplier_stats(np.linspace(0, 1, 11), k=1)
-        assert out["percentiles"]["p0"] == pytest.approx(0.0)
-        assert out["percentiles"]["p100"] == pytest.approx(1.0)
-
-    def test_rejects_oversized_k(self):
-        with pytest.raises(ParameterError):
-            metrics.multiplier_stats(np.zeros(2), k=3)
-
-
 class TestMarginCorrelation:
     def test_perfect_ranking(self):
         margins = np.array([3.0, 2.0, 1.0, 0.5])

@@ -44,6 +44,9 @@ class TestForward:
         mlp = models.MLP((2, 3, 1), "regression")
         with pytest.raises(ShapeError):
             mlp.forward(np.zeros((2, mlp.n_params + 1)), np.zeros((4, 2)))
+        # a stack of thetas with a workspace, which holds the pass of one theta
+        with pytest.raises(ShapeError, match=re.escape(f"a workspace takes one theta, shape ({mlp.n_params},)")):
+            mlp.forward_cache(np.zeros((2, mlp.n_params)), np.zeros((4, 2)), models.Workspace())
 
     def test_one_dimensional_features_raise_shape_error(self):
         with pytest.raises(ShapeError, match=r"expected 3 features, got shape \(3,\)"):

@@ -1,8 +1,11 @@
 import math
+import tempfile
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feaslearn import data, feasibility as fs, models, trainers
 from feaslearn.errors import ParameterError
@@ -310,10 +313,10 @@ class TestStepProtocol:
         last, lam = record.trajectory[-1], record.multipliers
         logits = model.forward(record.params.theta, train_ds.features)
         assert 0 < last["lam_frac_zero"] < 1
-        assert last["train_mean_loss"] == float(np.mean(record.final_train_losses))
-        assert last["train_max_loss"] == float(record.final_train_losses.max())
-        assert last["test_mean_loss"] == float(np.mean(record.final_test_losses))
-        assert last["sat_fraction"] == float(np.mean(record.final_train_losses <= 0.3 + fs.SAT_TOL))
+        assert last["train_mean_loss"] == float(np.mean(record.train_losses))
+        assert last["train_max_loss"] == float(record.train_losses.max())
+        assert last["test_mean_loss"] == float(np.mean(record.test_losses))
+        assert last["sat_fraction"] == float(np.mean(record.train_losses <= 0.3 + fs.SAT_TOL))
         assert last["lam_mean"] == float(np.mean(lam))
         assert last["lam_frac_zero"] == float(np.mean(lam <= fs.ZERO_MULTIPLIER_TOL))
         assert last["train_accuracy"] == float(np.mean(logits.argmax(axis=1) == train_ds.targets))
@@ -406,7 +409,7 @@ class TestInfeasibleDynamics:
         record = train(cfg, model, ds)
         assert record.aborted
         assert "dual blow-up" in record.abort_reason
-        assert record.final_train_losses is not None  # partial artifacts retained
+        assert record.train_losses is not None  # partial artifacts retained
 
     def test_divergent_primal_aborts_on_non_finite(self):
         ds = _line_dataset()
@@ -416,6 +419,39 @@ class TestInfeasibleDynamics:
         record = train(cfg, model, ds)
         assert record.aborted
         assert len(record.trajectory) < 50
+
+
+class TestFeasibilityStatistics:
+    """A trajectory row counts the satisfied constraints and the zero multipliers."""
+
+    def test_hand_example(self):
+        # predictions start at 0, so the first step's losses are 0.6 and 0.3;
+        # with eps = 0.51 only id 0 violates, by 0.09, and only its lambda grows.
+        ds = data.Dataset(features=np.eye(2), targets=np.sqrt([0.6, 0.3]), ids=np.arange(2),
+                          task=data.REGRESSION)
+        cfg = TrainerConfig(method="fl", eta_theta=0.1, eta_lambda=0.5, eps=0.51, epochs=1,
+                            primal_optimizer="sgd", seed=0)
+        record = train(cfg, models.LinearModel(2), ds)
+        [row] = record.trajectory
+        assert row["max_step_violation"] == pytest.approx(0.09, abs=1e-12)
+        assert row["sat_fraction"] == 0.5
+        assert row["lam_frac_zero"] == 0.5
+        assert row["lam_min"] == 0.0
+        assert row["lam_max"] == pytest.approx(0.5 * 0.09, abs=1e-12)
+        assert record.multipliers[1] == 0.0
+
+    @pytest.mark.parametrize("method", trainers.METHODS)
+    def test_conflicting_pairs_never_satisfy_more_than_half_at_eps_zero(self, method):
+        # The two rows of a pair share features but not targets, so at any
+        # theta at most one of them has zero loss.
+        ds = data.gen_conflicting_pairs(3, 2, 2.0, 0)
+        cfg = TrainerConfig(method=method, eta_theta=0.01, eta_lambda=0.1, eps=0.0, epochs=20,
+                            alpha=1.0, primal_optimizer="sgd", seed=0)
+        record = train(cfg, models.LinearModel(2), ds)
+        assert record.status == "completed"
+        assert len(record.trajectory) == 20
+        assert all(row["sat_fraction"] <= 0.5 for row in record.trajectory)
+        assert np.mean(record.train_losses <= fs.SAT_TOL) <= 0.5
 
 
 class TestEvalSplit:
@@ -439,35 +475,46 @@ class TestEvalSplit:
             assert abs(acc - 1.0 / C) <= 0.05
 
 
-class TestFeasibilityReport:
-    def test_all_satisfied(self):
-        ds = _line_dataset()
-        model = models.LinearModel(1)
-        report = trainers.feasibility_report(model, np.array([2.0]), ds, 0.0)
-        assert report["satisfied_count"] == ds.n_samples
-        assert report["max_violation"] == 0.0
-        assert report["violating_ids"] == []
-
-    def test_hand_example(self):
-        ds = data.Dataset(features=np.eye(2), targets=np.zeros(2), ids=np.arange(2),
-                          task=data.REGRESSION)
-        model = models.LinearModel(2)
-        # predictions (theta_0, theta_1) -> losses are theta^2 per sample
-        theta = np.array([np.sqrt(0.6), np.sqrt(0.3)])
-        report = trainers.feasibility_report(model, theta, ds, 0.51)
-        assert report["satisfied_count"] == 1
-        assert report["violating_ids"] == [0]
-        assert report["max_violation"] == pytest.approx(0.09, abs=1e-12)
-
-    def test_conflicting_pairs_never_fully_satisfied_at_zero(self):
-        ds = data.gen_conflicting_pairs(3, 2, 2.0, 0)
-        model = models.LinearModel(2)
-        for theta in (np.zeros(2), np.array([0.5, -1.0]), np.array([3.0, 3.0])):
-            report = trainers.feasibility_report(model, theta, ds, 0.0)
-            assert report["satisfied_count"] < ds.n_samples
-
-
 class TestRunRecordPersistence:
+    @settings(max_examples=40, deadline=None)
+    @given(method=st.sampled_from(trainers.METHODS), classify=st.booleans(),
+           batch_size=st.sampled_from([None, 4]), with_test=st.booleans(),
+           epochs=st.sampled_from([0, 1, 3]), diverge=st.booleans(), seed=st.integers(0, 2**16))
+    def test_load_run_returns_the_saved_record(self, method, classify, batch_size, with_test,
+                                               epochs, diverge, seed):
+        # eta_theta = 1e200 makes the poly model's losses overflow after the first
+        # step, so the run aborts at its next forward (eps = 0 keeps every gradient
+        # nonzero); the MLP's ReLUs may all die instead.
+        cfg = TrainerConfig(method=method, eta_theta=1e200 if diverge else 0.05, eta_lambda=0.5,
+                            alpha=2.0, eps=0.0 if diverge else 0.1, batch_size=batch_size,
+                            epochs=epochs, seed=seed)
+        if classify:
+            ds, model = data.gen_two_moons(16, 0.2, seed), models.MLP((2, 4, 2))
+        else:
+            ds, model = data.gen_noisy_cosine(16, 0.2, seed), models.PolyModel(3, "chebyshev", (0.0, 1.0))
+        train_ds, test_ds = data.split_train_test(ds, 0.25, seed) if with_test else (ds, None)
+        with np.errstate(over="ignore", invalid="ignore"):
+            record = train(cfg, model, train_ds, test_ds)
+        assert classify or record.aborted == (diverge and epochs > 0)
+        with tempfile.TemporaryDirectory() as outdir:
+            trainers.save_run(record, outdir)
+            back = trainers.load_run(outdir)
+
+        def raw(a):
+            return None if a is None else (a.dtype, a.shape, a.tobytes())
+
+        assert isinstance(back, trainers.RunRecord)
+        assert back.config == record.config
+        np.testing.assert_equal(back.trajectory, record.trajectory)  # NaN matches NaN
+        for name in ("train_losses", "test_losses", "multipliers"):
+            assert raw(getattr(back, name)) == raw(getattr(record, name)), name
+        assert raw(back.params.theta) == raw(record.params.theta)
+        assert back.params.descriptor == record.params.descriptor
+        meta = back.meta
+        phases = dict(meta["phase_s"])
+        assert phases.pop("persist") >= 0.0
+        assert {**meta, "phase_s": phases} == record.meta
+
     def test_round_trip(self, tmp_path):
         ds = data.gen_two_moons(30, 0.1, 0)
         test = data.gen_two_moons(30, 0.1, 1)
@@ -483,13 +530,13 @@ class TestRunRecordPersistence:
             assert (outdir / name).exists(), name
         back = trainers.load_run(outdir)
         assert back.status == "completed"
-        assert np.array_equal(back.train_losses, record.final_train_losses)
-        assert np.array_equal(back.test_losses, record.final_test_losses)
+        assert np.array_equal(back.train_losses, record.train_losses)
+        assert np.array_equal(back.test_losses, record.test_losses)
         assert np.array_equal(back.multipliers, record.multipliers)
         assert np.array_equal(back.params.theta, record.params.theta)
-        assert len(back.trajectory["epoch"]) == 3
+        assert len(back.trajectory) == 3
         for column in trainers.TRAJECTORY_COLUMNS:
-            assert np.array_equal(back.trajectory[column],
+            assert np.array_equal([row[column] for row in back.trajectory],
                                   [row[column] for row in record.trajectory]), column
         assert back.config["dataset_signature"]["train"] == ds.signature()
 
@@ -531,13 +578,21 @@ class TestRunRecordPersistence:
         record = train(cfg, model, ds)
         assert record.status == "completed"
         assert record.trajectory == []
-        assert record.final_train_losses is not None
+        assert record.train_losses is not None
         trainers.save_run(record, tmp_path / "r")
         back = trainers.load_run(tmp_path / "r")
-        assert len(back.trajectory["epoch"]) == 0
+        assert len(back.trajectory) == 0
 
 
 class TestOptimizers:
+    def test_records_do_not_share_the_adamw_defaults(self):
+        cfg = TrainerConfig(method="erm", eta_theta=0.1, epochs=1, primal_optimizer="adamw", seed=0)
+        first = train(cfg, models.LinearModel(1), _line_dataset())
+        first.metadata["adamw_defaults"]["beta1"] = 0.5
+        second = train(cfg, models.LinearModel(1), _line_dataset())
+        assert second.metadata["adamw_defaults"]["beta1"] == 0.9
+        assert trainers.ADAMW_DEFAULTS["beta1"] == 0.9
+
     def test_adamw_weight_decay_is_decoupled(self):
         # zero gradient: adamw still shrinks parameters, plain sgd does not
         theta = np.array([1.0, -2.0])
@@ -598,7 +653,7 @@ class TestFeaturizeOnce:
         assert poly.trajectory == lin.trajectory
         assert np.array_equal(poly.params.theta, lin.params.theta)
         assert np.array_equal(poly.multipliers, lin.multipliers)
-        assert np.array_equal(poly.final_test_losses, lin.final_test_losses)
+        assert np.array_equal(poly.test_losses, lin.test_losses)
 
     def test_poly_features_calls_do_not_grow_with_epochs(self, monkeypatch):
         train_ds, test_ds = self._splits()
@@ -645,7 +700,7 @@ class TestWorkspaceBitIdentity:
             return None if a is None else a.tobytes()
         return ([[repr(v) for v in row.values()] for row in record.trajectory],
                 raw(record.params.theta), raw(record.multipliers),
-                raw(record.final_train_losses), raw(record.final_test_losses),
+                raw(record.train_losses), raw(record.test_losses),
                 record.status, record.abort_reason, record.abort, record.train_pass_counts)
 
     def _both_ways(self, monkeypatch, run):
@@ -670,7 +725,7 @@ class TestWorkspaceBitIdentity:
         assert train_ds.n_samples % cfg.batch_size != 0
         model = models.MLP((2, 10, 7, 2))
         record = self._both_ways(monkeypatch, lambda: train(cfg, model, train_ds, test_ds))
-        assert record.status == "completed" and record.final_test_losses is not None
+        assert record.status == "completed" and record.test_losses is not None
 
     def test_full_batch_erm_shares_the_epoch_end_forward(self, monkeypatch):
         train_ds, test_ds = data.split_train_test(data.gen_two_moons(80, 0.2, 4), 0.25, 4)
@@ -694,7 +749,7 @@ class TestWorkspaceBitIdentity:
         assert record.status == "aborted"
         assert record.abort_reason == "epoch-end evaluation failed: non-finite losses for samples [1]"
         assert record.abort == {"epoch": 0, "step": 1, "ids": [1]}
-        assert record.final_train_losses is not None and record.final_test_losses is None
+        assert record.train_losses is not None and record.test_losses is None
 
 
 class TestAbortNamesDatasetIds:
