@@ -38,25 +38,55 @@ EXIT_VERIFY = 4
 
 OUTPUT_ROOT_ENV = "FEASLEARN_OUTPUT_ROOT"
 
+# The fields of each config section with their defaults, by path ("" is the
+# top level). An int, float, str or dict default admits only an integer, a
+# number, a string or a JSON object. A dataset also has the fields of its
+# generator, and a model those of its family.
 CONFIG_DEFAULTS = {
-    "name": "experiment",
+    "": {"name": "experiment", "output_dir": "",  # "": runs/<name>
+         "dataset": {}, "split": {}, "model": {"family": "linear"}, "trainer": {}, "metrics": {},
+         "seeds": [0, 1, 2, 3, 4]},
     "split": {"test_fraction": 0.0, "seed": None},
-    "model": {"family": "linear"},
     "metrics": {"quantiles": [0.9, 0.95, 0.99]},
-    "seeds": [0, 1, 2, 3, 4],
+    "dataset": {"seed": None, "outliers": {}},  # empty outliers: none
+    "dataset.outliers": {"fraction": 0.05, "offset": 1.0, "placement": "random"},
 }
+# generator: (its function of its fields, in order, and the seed; its fields)
+GENERATORS = {
+    "two_moons": (dt.gen_two_moons, {"n": 1000, "noise": 0.1}),
+    "noisy_cosine": (dt.gen_noisy_cosine, {"n": 20, "sigma": 0.2}),
+    "conflicting_pairs": (dt.gen_conflicting_pairs, {"n_pairs": 8, "d": 2, "label_gap": 2.0}),
+    "csv": (lambda path, task, seed: dt.load_dataset_csv(path, task),
+            {"path": None, "task": dt.REGRESSION}),
+}
+FAMILIES = {
+    "linear": {},
+    "poly": {"degree": 3, "basis": "chebyshev", "domain": None},
+    "mlp": {"layers": None},
+}
+_KINDS = {int: (lambda v: tr.is_number(v, True), "an integer"), float: (tr.is_number, "a number"),
+          str: (lambda v: isinstance(v, str), "a string"),
+          dict: (lambda v: isinstance(v, dict), "a JSON object")}
 
 
 def _fail(path: str, message: str):
     raise ConfigError(f"config field '{path}': {message}")
 
 
-def _number(section: dict, path: str, key: str, default, integer: bool = False):
-    """``section[key]``, or ``default`` when absent; a number, an integer if ``integer``."""
-    value = section.get(key, default)
-    if not tr.is_number(value, integer):
-        _fail(f"{path}.{key}", f"must be {'an integer' if integer else 'a number'}, got {value!r}")
-    return value
+def _section(given: dict, path: str, fields: dict) -> dict:
+    """The config object ``given`` at ``path``, with the defaults of ``fields``
+    filled in. A key that ``fields`` lacks, or a value of the wrong kind, is an
+    error."""
+    at = f"{path}." if path else ""
+    unknown = sorted(set(given) - set(fields))
+    if unknown:
+        _fail(at + unknown[0], f"unknown {path or 'top-level'} field")
+    out = {**copy.deepcopy(fields), **given}
+    for key, default in fields.items():
+        admits, kind = _KINDS.get(type(default), (None, None))
+        if admits and not admits(out[key]):
+            _fail(at + key, f"must be {kind}, got {out[key]!r}")
+    return out
 
 
 def load_config(source) -> dict:
@@ -73,123 +103,98 @@ def load_config(source) -> dict:
             raise ConfigError(f"invalid JSON at line {err.lineno}, column {err.colno}: {err.msg}")
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
-
-    for key in ("dataset", "model", "split", "metrics", "trainer"):
-        if key in cfg and not isinstance(cfg[key], dict):
-            _fail(key, "must be a JSON object")
-    merged = copy.deepcopy(CONFIG_DEFAULTS)
-    merged.update(cfg)
-    merged["split"] = {**CONFIG_DEFAULTS["split"], **cfg.get("split", {})}
-    merged["metrics"] = {**CONFIG_DEFAULTS["metrics"], **cfg.get("metrics", {})}
-    trainer = cfg.get("trainer", {})
-
-    if "dataset" not in merged:
+    if "dataset" not in cfg:
         _fail("dataset", "required")
-    unknown = sorted(set(merged["metrics"]) - set(CONFIG_DEFAULTS["metrics"]))
-    if unknown:
-        _fail(f"metrics.{unknown[0]}", "unknown metrics field")
+    cfg = _section(cfg, "", CONFIG_DEFAULTS[""])
+    for path in ("split", "metrics"):
+        cfg[path] = _section(cfg[path], path, CONFIG_DEFAULTS[path])
+    gen = cfg["dataset"].get("generator")
+    if gen not in GENERATORS:
+        _fail("dataset.generator", f"unknown generator {gen!r}")
+    fields = {"generator": gen, **CONFIG_DEFAULTS["dataset"], **GENERATORS[gen][1]}
+    dataset = cfg["dataset"] = _section(cfg["dataset"], "dataset", fields)
+    if dataset["outliers"]:
+        dataset["outliers"] = _section(dataset["outliers"], "dataset.outliers",
+                                       CONFIG_DEFAULTS["dataset.outliers"])
+    else:
+        del dataset["outliers"]  # echoed only when given
+    family = cfg["model"].get("family")
+    if family not in FAMILIES:
+        _fail("model.family", f"unknown family {family!r}")
+    model = cfg["model"] = _section(cfg["model"], "model", {"family": family, **FAMILIES[family]})
+
+    trainer = cfg["trainer"]
     if "seed" in trainer:
         _fail("trainer.seed", "not allowed; the run seeds come from 'seeds'")
-    unknown = sorted(set(trainer) - {f.name for f in dataclasses.fields(tr.TrainerConfig)})
-    if unknown:
-        _fail(f"trainer.{unknown[0]}", "unknown trainer field")
+    # only the keys: TrainerConfig checks the values and fills the defaults
+    _section(trainer, "trainer", dict.fromkeys(f.name for f in dataclasses.fields(tr.TrainerConfig)))
     if "method" not in trainer:
         _fail("trainer.method", "required")
     try:
-        merged["trainer"] = {k: v for k, v in tr.TrainerConfig(**trainer).echo().items() if k != "seed"}
+        cfg["trainer"] = {k: v for k, v in tr.TrainerConfig(**trainer).echo().items() if k != "seed"}
     except ParameterError as err:
         _fail("trainer", str(err))
-    seeds = merged["seeds"]
+    seeds = cfg["seeds"]
     if not isinstance(seeds, list) or not seeds or any(not tr.is_number(s, True) or s < 0 for s in seeds):
         _fail("seeds", "must be a non-empty list of non-negative integers")
     repeated = sorted({s for s in seeds if seeds.count(s) > 1})
     if repeated:
         _fail("seeds", f"repeated seeds {repeated}")
-    quantiles = merged["metrics"]["quantiles"]
+    quantiles = cfg["metrics"]["quantiles"]
     if not isinstance(quantiles, list) or any(not tr.is_number(q) or not 0.0 <= q < 1.0 for q in quantiles):
         _fail("metrics.quantiles", "must be a list of quantiles in [0, 1)")
-    frac = merged["split"]["test_fraction"]
-    if not tr.is_number(frac) or not 0.0 <= frac < 1.0:
+    if not 0.0 <= cfg["split"]["test_fraction"] < 1.0:
         _fail("split.test_fraction", "must lie in [0, 1)")
-    for path, seed in (("dataset.seed", merged["dataset"].get("seed")),
-                       ("split.seed", merged["split"]["seed"])):
+    for path, seed in (("dataset.seed", dataset["seed"]), ("split.seed", cfg["split"]["seed"])):
         if seed is not None and not (tr.is_number(seed, True) and seed >= 0):
             _fail(path, "must be a non-negative integer or null")
-    merged.setdefault("output_dir", os.path.join("runs", str(merged["name"])))
-    for key in ("name", "output_dir"):
-        if not isinstance(merged[key], str):
-            _fail(key, f"must be a string, got {merged[key]!r}")
-    return merged
+    if gen == "csv" and not isinstance(dataset["path"], str):
+        _fail("dataset.path", f"required for csv: a file path, got {dataset['path']!r}")
+    domain = model.get("domain")
+    if domain is not None and not (isinstance(domain, list) and len(domain) == 2
+                                   and all(map(tr.is_number, domain))):
+        _fail("model.domain", f"must be [lo, hi] or null, got {domain!r}")
+    layers = model.get("layers")
+    if family == "mlp" and not (isinstance(layers, list) and all(tr.is_number(w, True) for w in layers)):
+        _fail("model.layers", f"required for mlp: a list of integer widths, got {layers!r}")
+    cfg["output_dir"] = cfg["output_dir"] or os.path.join("runs", cfg["name"])
+    return cfg
 
 
 def build_dataset(cfg: dict, run_seed: int) -> tuple[dt.Dataset, dt.Dataset | None]:
     """Build the (train, test) pair a run sees. A null dataset/split seed
     follows the run seed so seeds resample the data; fixed seeds pin it."""
-    dcfg = cfg["dataset"]
-    gen = dcfg.get("generator")
-    seed = dcfg.get("seed")
-    seed = run_seed if seed is None else seed
-
-    def arg(key, default, integer=False):
-        return _number(dcfg, "dataset", key, default, integer)
-
+    dcfg, split = cfg["dataset"], cfg["split"]
+    seed = run_seed if dcfg["seed"] is None else dcfg["seed"]
+    make, fields = GENERATORS[dcfg["generator"]]
     try:
-        if gen == "two_moons":
-            full = dt.gen_two_moons(arg("n", 1000, True), arg("noise", 0.1), seed)
-        elif gen == "noisy_cosine":
-            full = dt.gen_noisy_cosine(arg("n", 20, True), arg("sigma", 0.2), seed)
-        elif gen == "conflicting_pairs":
-            full = dt.gen_conflicting_pairs(arg("n_pairs", 8, True), arg("d", 2, True),
-                                            arg("label_gap", 2.0), seed)
-        elif gen == "csv" or "path" in dcfg:
-            if not isinstance(dcfg.get("path"), str):
-                _fail("dataset.path", f"required for csv: a file path, got {dcfg.get('path')!r}")
-            full = dt.load_dataset_csv(dcfg["path"], dcfg.get("task", dt.REGRESSION))
-        else:
-            _fail("dataset.generator", f"unknown generator {gen!r}")
-        out = dcfg.get("outliers")
-        if out:
-            if not isinstance(out, dict):
-                _fail("dataset.outliers", "must be a JSON object")
-            full = dt.with_label_outliers(full, _number(out, "dataset.outliers", "fraction", 0.05),
-                                          _number(out, "dataset.outliers", "offset", 1.0),
-                                          seed, out.get("placement", "random"))
+        full = make(*(dcfg[key] for key in fields), seed)
+        if "outliers" in dcfg:
+            full = dt.with_label_outliers(full, seed=seed, **dcfg["outliers"])
     except ParameterError as err:
         raise ConfigError(f"config field 'dataset': {err}")
     except (OSError, UnicodeDecodeError) as err:
         _fail("dataset.path", f"cannot read: {err}")
-    frac = cfg["split"]["test_fraction"]
-    if frac == 0.0:
+    if split["test_fraction"] == 0.0:
         return full, None
-    split_seed = cfg["split"]["seed"]
-    split_seed = run_seed if split_seed is None else split_seed
     try:
-        return dt.split_train_test(full, frac, split_seed)
+        return dt.split_train_test(full, split["test_fraction"],
+                                   run_seed if split["seed"] is None else split["seed"])
     except ParameterError as err:
         _fail("split.test_fraction", str(err))
 
 
 def build_model(cfg: dict, dataset: dt.Dataset) -> md.Model:
     mcfg = cfg["model"]
-    family = mcfg.get("family")
     try:
-        if family == "linear":
+        if mcfg["family"] == "linear":
             return md.LinearModel(dataset.n_features)
-        if family == "poly":
-            domain = mcfg.get("domain")
-            if domain is not None and not (isinstance(domain, list) and len(domain) == 2
-                                           and all(map(tr.is_number, domain))):
-                _fail("model.domain", f"must be [lo, hi] or null, got {domain!r}")
-            return md.PolyModel(_number(mcfg, "model", "degree", 3, True), mcfg.get("basis", "chebyshev"),
-                                tuple(domain) if domain is not None else None)
-        if family == "mlp":
-            layers = mcfg.get("layers")
-            if not isinstance(layers, list) or not all(tr.is_number(w, True) for w in layers):
-                _fail("model.layers", f"required for mlp: a list of integer widths, got {layers!r}")
-            return md.MLP(tuple(layers), task=dataset.task)
+        if mcfg["family"] == "poly":
+            domain = mcfg["domain"]
+            return md.PolyModel(mcfg["degree"], mcfg["basis"], domain if domain is None else tuple(domain))
+        return md.MLP(tuple(mcfg["layers"]), task=dataset.task)
     except ParameterError as err:
         raise ConfigError(f"config field 'model': {err}")
-    _fail("model.family", f"unknown family {family!r}")
 
 
 def _resolve_output_dir(cfg: dict, output_root: str | None) -> str:
@@ -437,10 +442,14 @@ def compare(run_dirs, quantiles=None, out_dir="comparison", svg: bool = False) -
         raise ConfigError("compare needs at least one run directory")
     quantiles = sorted(quantiles if quantiles is not None else
                        [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99])
-    try:
-        runs = [tr.load_run(d) for d in run_dirs]
-    except OSError as err:
-        raise ConfigError(f"cannot read run directory: {err}")
+    runs = []
+    for d in run_dirs:
+        try:
+            run = tr.load_run(d)
+        except (OSError, ValueError) as err:  # missing, unreadable or corrupt files
+            raise ConfigError(f"cannot read run directory {d}: {err}")
+        run.trajectory = run.trajectory[-1:]  # the report reads only the last epoch
+        runs.append(run)
     signatures = [json.dumps(r.config.get("dataset_signature"), sort_keys=True) for r in runs]
     if any(s == "null" for s in signatures):
         raise ConfigError("run directories lack dataset signatures; re-run training to compare")
@@ -527,82 +536,43 @@ def verify(suite: str = "all", report_path: str | None = None) -> dict:
 
 
 def config_templates() -> dict:
+    """The shipped experiments: four datasets and models, each trained by two methods."""
     ln9 = 0.10536051565782628  # -ln(0.9): demands 90% true-class probability
-    return {
-        "two_moons_fl": {
-            "name": "two_moons_fl",
-            "dataset": {"generator": "two_moons", "n": 1250, "noise": 0.1, "seed": None},
-            "split": {"test_fraction": 0.2, "seed": None},
-            "model": {"family": "mlp", "layers": [2, 70, 70, 2]},
-            "trainer": {"method": "fl", "eta_theta": 5e-4, "eta_lambda": 1e-2,
-                        "eps": ln9, "batch_size": 512, "epochs": 250,
-                        "primal_optimizer": "adamw"},
-            "seeds": [0, 1, 2, 3, 4],
-        },
-        "two_moons_erm": {
-            "name": "two_moons_erm",
-            "dataset": {"generator": "two_moons", "n": 1250, "noise": 0.1, "seed": None},
-            "split": {"test_fraction": 0.2, "seed": None},
-            "model": {"family": "mlp", "layers": [2, 70, 70, 2]},
-            "trainer": {"method": "erm", "eta_theta": 5e-4, "batch_size": 512,
-                        "epochs": 250, "primal_optimizer": "adamw"},
-            "seeds": [0, 1, 2, 3, 4],
-        },
-        "noisy_cosine_fl": {
-            "name": "noisy_cosine_fl",
-            "dataset": {"generator": "noisy_cosine", "n": 20, "sigma": 0.2, "seed": None},
-            "model": {"family": "poly", "degree": 20, "basis": "chebyshev", "domain": [0.0, 1.0]},
-            "trainer": {"method": "fl", "eta_theta": 5e-3, "eta_lambda": 0.5,
-                        "eps": 0.2, "epochs": 3000, "primal_optimizer": "sgd"},
-            "seeds": [0, 1, 2, 3, 4],
-        },
-        "noisy_cosine_erm": {
-            "name": "noisy_cosine_erm",
-            "dataset": {"generator": "noisy_cosine", "n": 20, "sigma": 0.2, "seed": None},
-            "model": {"family": "poly", "degree": 20, "basis": "chebyshev", "domain": [0.0, 1.0]},
-            "trainer": {"method": "erm", "eta_theta": 0.3, "epochs": 3000,
-                        "primal_optimizer": "sgd"},
-            "seeds": [0, 1, 2, 3, 4],
-        },
-        "conflicting_pairs_fl": {
-            "name": "conflicting_pairs_fl",
-            "dataset": {"generator": "conflicting_pairs", "n_pairs": 8, "d": 2,
-                        "label_gap": 2.0, "seed": 0},
-            "model": {"family": "linear"},
-            "trainer": {"method": "fl", "eta_theta": 1e-4, "eta_lambda": 1e-2,
-                        "eps": 0.0, "epochs": 5000, "primal_optimizer": "sgd"},
-            "seeds": [0],
-        },
-        "conflicting_pairs_rfl": {
-            "name": "conflicting_pairs_rfl",
-            "dataset": {"generator": "conflicting_pairs", "n_pairs": 8, "d": 2,
-                        "label_gap": 2.0, "seed": 0},
-            "model": {"family": "linear"},
-            "trainer": {"method": "rfl", "alpha": 1.0, "eta_theta": 1e-4, "eta_lambda": 1e-2,
-                        "eps": 0.0, "epochs": 5000, "primal_optimizer": "sgd"},
-            "seeds": [0],
-        },
-        "outlier_regression_erm": {
-            "name": "outlier_regression_erm",
-            "dataset": {"generator": "noisy_cosine", "n": 900, "sigma": 0.1, "seed": None,
-                        "outliers": {"fraction": 0.05, "offset": 1.2, "placement": "upper_window"}},
-            "split": {"test_fraction": 0.333, "seed": None},
-            "model": {"family": "poly", "degree": 8, "basis": "chebyshev", "domain": [0.0, 1.0]},
-            "trainer": {"method": "erm", "eta_theta": 1e-2, "epochs": 2000,
-                        "primal_optimizer": "adamw"},
-            "seeds": [0, 1, 2, 3, 4],
-        },
-        "outlier_regression_rfl": {
-            "name": "outlier_regression_rfl",
-            "dataset": {"generator": "noisy_cosine", "n": 900, "sigma": 0.1, "seed": None,
-                        "outliers": {"fraction": 0.05, "offset": 1.2, "placement": "upper_window"}},
-            "split": {"test_fraction": 0.333, "seed": None},
-            "model": {"family": "poly", "degree": 8, "basis": "chebyshev", "domain": [0.0, 1.0]},
-            "trainer": {"method": "rfl", "alpha": 1.0, "eta_theta": 1e-2, "eta_lambda": 0.1,
-                        "eps": 0.02, "epochs": 2000, "primal_optimizer": "adamw"},
-            "seeds": [0, 1, 2, 3, 4],
-        },
+    moons = {"dataset": {"generator": "two_moons", "n": 1250, "noise": 0.1, "seed": None},
+             "split": {"test_fraction": 0.2, "seed": None},
+             "model": {"family": "mlp", "layers": [2, 70, 70, 2]}}
+    cosine = {"dataset": {"generator": "noisy_cosine", "n": 20, "sigma": 0.2, "seed": None},
+              "model": {"family": "poly", "degree": 20, "basis": "chebyshev", "domain": [0.0, 1.0]}}
+    pairs = {"dataset": {"generator": "conflicting_pairs", "n_pairs": 8, "d": 2,
+                         "label_gap": 2.0, "seed": 0},
+             "model": {"family": "linear"}}
+    outliers = {"dataset": {"generator": "noisy_cosine", "n": 900, "sigma": 0.1, "seed": None,
+                            "outliers": {"fraction": 0.05, "offset": 1.2, "placement": "upper_window"}},
+                "split": {"test_fraction": 0.333, "seed": None},
+                "model": {"family": "poly", "degree": 8, "basis": "chebyshev", "domain": [0.0, 1.0]}}
+    five = [0, 1, 2, 3, 4]
+    experiments = {  # name: (base, trainer, seeds)
+        "two_moons_fl": (moons, {"method": "fl", "eta_theta": 5e-4, "eta_lambda": 1e-2, "eps": ln9,
+                                 "batch_size": 512, "epochs": 250, "primal_optimizer": "adamw"}, five),
+        "two_moons_erm": (moons, {"method": "erm", "eta_theta": 5e-4, "batch_size": 512,
+                                  "epochs": 250, "primal_optimizer": "adamw"}, five),
+        "noisy_cosine_fl": (cosine, {"method": "fl", "eta_theta": 5e-3, "eta_lambda": 0.5, "eps": 0.2,
+                                     "epochs": 3000, "primal_optimizer": "sgd"}, five),
+        "noisy_cosine_erm": (cosine, {"method": "erm", "eta_theta": 0.3, "epochs": 3000,
+                                      "primal_optimizer": "sgd"}, five),
+        "conflicting_pairs_fl": (pairs, {"method": "fl", "eta_theta": 1e-4, "eta_lambda": 1e-2,
+                                         "eps": 0.0, "epochs": 5000, "primal_optimizer": "sgd"}, [0]),
+        "conflicting_pairs_rfl": (pairs, {"method": "rfl", "alpha": 1.0, "eta_theta": 1e-4,
+                                          "eta_lambda": 1e-2, "eps": 0.0, "epochs": 5000,
+                                          "primal_optimizer": "sgd"}, [0]),
+        "outlier_regression_erm": (outliers, {"method": "erm", "eta_theta": 1e-2, "epochs": 2000,
+                                              "primal_optimizer": "adamw"}, five),
+        "outlier_regression_rfl": (outliers, {"method": "rfl", "alpha": 1.0, "eta_theta": 1e-2,
+                                              "eta_lambda": 0.1, "eps": 0.02, "epochs": 2000,
+                                              "primal_optimizer": "adamw"}, five),
     }
+    return {name: copy.deepcopy({"name": name, **base, "trainer": trainer, "seeds": seeds})
+            for name, (base, trainer, seeds) in experiments.items()}
 
 
 def gen_config(template: str, out_path: str | None = None) -> str:

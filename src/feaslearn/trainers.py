@@ -211,7 +211,7 @@ def _featurized(model: models.Model, dataset: Dataset) -> Batch:
 
 def _accuracy(preds, targets, kind) -> float:
     if kind == models.CROSS_ENTROPY:
-        return np.count_nonzero(preds.argmax(axis=1) == targets) / len(targets)
+        return int(np.count_nonzero(preds.argmax(axis=1) == targets)) / len(targets)
     return math.nan
 
 
@@ -356,12 +356,12 @@ def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
             "train_mean_loss": float(train_losses.sum()) / n,
             "train_max_loss": float(train_losses.max()),
             "train_accuracy": train_acc,
-            "sat_fraction": np.count_nonzero(train_losses <= eps + fs.SAT_TOL) / n,
+            "sat_fraction": int(np.count_nonzero(train_losses <= eps + fs.SAT_TOL)) / n,
             "max_step_violation": max_step_violation,
             "lam_min": float(lam.min()),
             "lam_mean": float(lam.sum()) / n,
             "lam_max": float(lam.max()),
-            "lam_frac_zero": np.count_nonzero(lam <= fs.ZERO_MULTIPLIER_TOL) / n,
+            "lam_frac_zero": int(np.count_nonzero(lam <= fs.ZERO_MULTIPLIER_TOL)) / n,
             "test_mean_loss": math.nan,
             "test_max_loss": math.nan,
             "test_accuracy": math.nan,

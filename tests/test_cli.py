@@ -76,6 +76,19 @@ class TestConfigLoading:
             cfg = cli.load_config(template)
             assert cfg["trainer"]["method"] in ("erm", "fl", "rfl", "cserm"), name
 
+    def test_templates_share_no_nested_dict(self):
+        templates = cli.config_templates()
+        fresh = json.dumps(templates, sort_keys=True)
+        templates["two_moons_fl"]["dataset"]["n"] = 7
+        templates["two_moons_fl"]["model"]["layers"].append(9)
+        templates["outlier_regression_erm"]["dataset"]["outliers"]["offset"] = 9.0
+        templates["noisy_cosine_fl"]["seeds"].append(9)
+        assert templates["two_moons_erm"]["dataset"]["n"] == 1250
+        assert templates["two_moons_erm"]["model"]["layers"] == [2, 70, 70, 2]
+        assert templates["outlier_regression_rfl"]["dataset"]["outliers"]["offset"] == 1.2
+        assert templates["noisy_cosine_erm"]["seeds"] == [0, 1, 2, 3, 4]
+        assert json.dumps(cli.config_templates(), sort_keys=True) == fresh
+
 
 class TestRunExperiment:
     def test_artifact_contract(self, tmp_path):
@@ -173,6 +186,59 @@ class TestRunExperiment:
         assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
         assert f"'metrics.{named}': unknown metrics field" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "tiny_fl")
+
+    @pytest.mark.parametrize("section,base,key", [
+        ("", {}, "seed"),
+        ("split", {"test_fraction": 0.25, "seed": 0}, "test_fracton"),
+        ("metrics", {"quantiles": [0.9]}, "quantile"),
+        ("dataset", {"generator": "two_moons", "n": 48, "seed": 0}, "noize"),
+        ("dataset", {"generator": "noisy_cosine", "n": 20}, "sigm"),
+        ("dataset", {"generator": "conflicting_pairs", "n_pairs": 4}, "label_gapp"),
+        ("dataset", {"generator": "csv", "path": "data.csv"}, "tsk"),
+        ("dataset.outliers", {"fraction": 0.1}, "placment"),
+        ("model", {"family": "linear"}, "degree"),
+        ("model", {"family": "poly", "degree": 3}, "degre"),
+        ("model", {"family": "mlp", "layers": [2, 6, 2]}, "layer"),
+        ("trainer", {"method": "erm", "epochs": 3}, "epoch"),
+    ], ids=["top_level", "split", "metrics", "two_moons", "noisy_cosine", "conflicting_pairs", "csv",
+            "outliers", "linear", "poly", "mlp", "trainer"])
+    def test_unknown_key_in_any_section_exits_two_and_writes_nothing(self, tmp_path, capsys,
+                                                                     section, base, key):
+        cfg = _tiny_config(tmp_path, seeds=(0,))
+        if section == "dataset.outliers":
+            cfg["dataset"] = {"generator": "noisy_cosine", "n": 20, "outliers": {**base, key: 1}}
+        elif section:
+            cfg[section] = {**base, key: 1}
+        else:
+            cfg[key] = [0]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+        named = f"'{section}.{key}': unknown {section}" if section else f"'{key}': unknown top-level"
+        assert f"{named} field" in capsys.readouterr().err
+        assert not os.path.exists(cfg["output_dir"])
+
+    def test_dataset_path_without_generator_exits_two(self, tmp_path, capsys):
+        cfg = _tiny_config(tmp_path, seeds=(0,))
+        cfg["dataset"] = {"path": str(tmp_path / "data.csv")}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+        assert "'dataset.generator': unknown generator None" in capsys.readouterr().err
+        assert not os.path.exists(cfg["output_dir"])
+
+    def test_misspelled_band_fit_config_exits_two_and_writes_nothing(self, tmp_path, capsys):
+        # each misspelling used to be ignored, training poly 3 on sigma = 0.2 without a test split
+        cfg = {"name": "band", "output_dir": str(tmp_path / "band"), "seeds": [0],
+               "dataset": {"generator": "noisy_cosine", "n": 20, "sigm": 5.0, "seed": 0},
+               "split": {"test_fracton": 0.25},
+               "model": {"family": "poly", "degre": 20, "domian": [0.0, 1.0]},
+               "trainer": {"method": "fl", "eps": 0.2, "epochs": 2}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+        assert "'split.test_fracton': unknown split field" in capsys.readouterr().err
+        assert not os.path.exists(cfg["output_dir"])
 
     def test_empty_test_split_exits_two(self, tmp_path, capsys):
         # round(0.01 * 20) = 0 test samples
@@ -653,6 +719,25 @@ class TestCompare:
         missing = str(tmp_path / "nowhere" / "seed_0")
         assert cli.main(["compare", missing, "--out", str(tmp_path / "cmp")]) == cli.EXIT_CONFIG
         assert "cannot read run directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,corrupt", [
+        ("meta.json", lambda raw: raw[:50]),
+        ("config.json", lambda raw: raw[:-3]),
+        ("trajectory.csv", lambda raw: raw.replace(b"\n0,", b"\nzero,", 1)),
+        ("checkpoint.bin", lambda raw: raw[:-8]),
+    ], ids=["truncated_meta", "truncated_config", "non_numeric_trajectory_cell", "short_checkpoint"])
+    def test_corrupt_run_dir_exits_two_naming_it(self, tmp_path, capsys, name, corrupt):
+        cfg = _tiny_config(tmp_path, seeds=(0,))
+        cli.run_experiment(cfg)
+        run = os.path.join(cfg["output_dir"], "seed_0")
+        with open(os.path.join(run, name), "rb") as fh:
+            raw = fh.read()
+        with open(os.path.join(run, name), "wb") as fh:
+            fh.write(corrupt(raw))
+        out = tmp_path / "cmp"
+        assert cli.main(["compare", run, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert f"cannot read run directory {run}: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_aborted_run_without_final_losses_is_left_out_of_the_table(self, tmp_path):
         def cosine(name, eta_theta):

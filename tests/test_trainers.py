@@ -506,6 +506,8 @@ class TestRunRecordPersistence:
         assert isinstance(back, trainers.RunRecord)
         assert back.config == record.config
         np.testing.assert_equal(back.trajectory, record.trajectory)  # NaN matches NaN
+        for rows in (record.trajectory, back.trajectory):  # Python numbers, not NumPy scalars
+            assert all(type(v) is (int if k == "epoch" else float) for row in rows for k, v in row.items())
         for name in ("train_losses", "test_losses", "multipliers"):
             assert raw(getattr(back, name)) == raw(getattr(record, name)), name
         assert raw(back.params.theta) == raw(record.params.theta)
