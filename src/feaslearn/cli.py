@@ -93,6 +93,8 @@ def load_config(source) -> dict:
     """Parse and validate an experiment config (path or dict), filling defaults."""
     if isinstance(source, dict):
         cfg = copy.deepcopy(source)
+    elif not isinstance(source, (str, bytes, os.PathLike)):
+        raise ConfigError(f"config must be a JSON object or a path to one, got {source!r}")
     else:
         try:
             with open(source) as fh:

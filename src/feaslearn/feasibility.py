@@ -40,6 +40,7 @@ def dual_step_rfl(lam, v, eta_lam: float, alpha: float, ids=None) -> np.ndarray:
     violation v). alpha = inf is the plain projected ascent [lam + eta * v]_+
     of fl, exactly.
     A non-finite result names its samples by ``ids`` (positions when None).
+    The formula is :func:`dual_ascent`; this function adds the checks.
     """
     if eta_lam <= 0:
         raise ParameterError("eta_lam must be positive")
@@ -48,11 +49,17 @@ def dual_step_rfl(lam, v, eta_lam: float, alpha: float, ids=None) -> np.ndarray:
     lam = np.asarray(lam, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.maximum(lam + eta_lam * (v - lam / alpha), 0.0)
+        out = dual_ascent(lam, v, eta_lam, alpha)
     if not np.all(np.isfinite(out)):
         named = named_rows(~np.isfinite(out), ids)
         raise NumericError(f"dual update produced non-finite multipliers at {named}", ids=named)
     return out
+
+
+def dual_ascent(lam, v, eta_lam: float, alpha: float) -> np.ndarray:
+    """The formula of :func:`dual_step_rfl` alone, without its checks: float64
+    arrays in, and floating-point warnings left to the caller's error state."""
+    return np.maximum(lam + eta_lam * (v - lam / alpha), 0.0)
 
 
 def lagrangian_alpha(g, spec, lam, alpha: float) -> float:

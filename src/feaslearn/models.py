@@ -316,6 +316,7 @@ def per_sample_loss(kind: str, predictions, targets, ids=None) -> np.ndarray:
     (..., n, C), one row per stacked parameter vector: the losses then have
     shape (..., n), each row bit-equal to the call on that row alone.
     Errors name the offending samples by ``ids``, or by row position when None.
+    The formula is :func:`loss_kernel`; this function adds the checks.
     """
     predictions = np.asarray(predictions, dtype=np.float64)
     if kind == SQUARED_ERROR:
@@ -338,17 +339,27 @@ def per_sample_loss(kind: str, predictions, targets, ids=None) -> np.ndarray:
         raise NumericError(f"non-finite predictions for samples {named}", ids=named)
     # Finite predictions can still overflow; the check below names those samples.
     with np.errstate(over="ignore", invalid="ignore"):
-        if kind == SQUARED_ERROR:
-            out = (predictions - targets) ** 2
-        else:
-            zmax = predictions.max(axis=-1, keepdims=True)
-            lse = np.log(np.exp(predictions - zmax).sum(axis=-1)) + zmax[..., 0]
-            out = lse - predictions[..., np.arange(len(targets)), targets]
+        out = loss_kernel(kind, predictions, targets)
     overflow = ~np.isfinite(out)
     if overflow.any():
         named = named_rows(_per_sample(overflow), ids)
         raise NumericError(f"non-finite losses for samples {named}", ids=named)
     return out
+
+
+def loss_kernel(kind: str, predictions, targets) -> np.ndarray:
+    """The formula of :func:`per_sample_loss` alone, without its checks.
+
+    Takes float64 predictions and a Dataset's targets (float64 values or
+    int64 labels) of matching shapes, and leaves floating-point warnings to
+    the caller's error state. A class label at or above the output width
+    raises IndexError.
+    """
+    if kind == SQUARED_ERROR:
+        return (predictions - targets) ** 2
+    zmax = predictions.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(predictions - zmax).sum(axis=-1)) + zmax[..., 0]
+    return lse - predictions[..., np.arange(len(targets)), targets]
 
 
 def _per_sample(mask) -> np.ndarray:

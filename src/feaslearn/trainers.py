@@ -166,12 +166,20 @@ class _SgdMomentum:
 
     def step(self, theta, grad, lr):
         update = grad + self.weight_decay * theta
-        self.buf = update if self.buf is None else self.momentum * self.buf + update
+        if self.buf is None:
+            self.buf = update
+        else:  # momentum * buf + update, in place
+            self.buf *= self.momentum
+            self.buf += update
         return theta - lr * self.buf
 
 
 class _AdamW:
-    """Per-coordinate second-moment scaling with decoupled weight decay."""
+    """Per-coordinate second-moment scaling with decoupled weight decay.
+
+    The moments are updated in place, in the order of the formulas
+    m = beta1 * m + (1 - beta1) * g and v = beta2 * v + (1 - beta2) * g * g.
+    """
 
     def __init__(self, weight_decay: float = 0.0, beta1: float = ADAMW_DEFAULTS["beta1"],
                  beta2: float = ADAMW_DEFAULTS["beta2"],
@@ -187,8 +195,10 @@ class _AdamW:
             self.m = np.zeros_like(theta)
             self.v = np.zeros_like(theta)
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * grad
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * grad * grad
         m_hat = self.m / (1.0 - self.beta1 ** self.t)
         v_hat = self.v / (1.0 - self.beta2 ** self.t)
         theta = theta * (1.0 - lr * self.weight_decay)
@@ -218,10 +228,22 @@ def _accuracy(preds, targets, kind) -> float:
 def _forward(model, theta, rows: Batch, kind, workspace: models.Workspace | None = None):
     """(preds, cache, per-sample losses) of one forward pass over ``rows``.
 
-    preds and cache live in ``workspace`` until its next forward pass.
+    preds and cache live in ``workspace`` until its next forward pass. The
+    losses come from ``loss_kernel``, checked only for what theta can change:
+    finite losses, and for cross-entropy finite logits (a -inf logit can give
+    a finite loss). A label beyond the output width fails the kernel's
+    indexing. On any failure the checked ``per_sample_loss`` runs on the same
+    arrays and raises its error, naming the samples.
     """
     preds, cache = model.forward_cache(theta, rows.features, workspace)
-    return preds, cache, models.per_sample_loss(kind, preds, rows.targets, rows.ids)
+    try:
+        losses = models.loss_kernel(kind, preds, rows.targets)
+    except IndexError:
+        losses = None
+    if losses is None or not np.isfinite(losses).all() or (
+            kind == models.CROSS_ENTROPY and not np.isfinite(preds).all()):
+        losses = models.per_sample_loss(kind, preds, rows.targets, rows.ids)
+    return preds, cache, losses
 
 
 def _eval_split(model, theta, rows: Batch, kind, workspace: models.Workspace | None = None):
@@ -246,7 +268,17 @@ def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
     pending train forward.
     Runs abort (status "aborted", reason recorded) on non-finite losses or
     parameters, or when any multiplier exceeds the blow-up threshold.
+    A step checks only the results of the loss and dual-update kernels; what
+    cannot change between steps is checked once, by TrainerConfig and the
+    datasets. The run ignores overflow and invalid warnings in one error
+    state, restored on return, since every non-finite result aborts it.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _train(config, model, train_ds, test_ds)
+
+
+def _train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
+           test_ds: Dataset | None) -> RunRecord:
     if test_ds is not None and test_ds.task != train_ds.task:
         raise ParameterError("train and test datasets must share a task")
     kind = models.loss_kind(train_ds.task)
@@ -259,7 +291,11 @@ def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
     lam = np.zeros(n)
     optimizer = _make_optimizer(config)
     batch_size = config.batch_size if config.batch_size is not None else n
+    full_batch = batch_size == n  # every step takes all rows, in id order
     steps_per_epoch = math.ceil(n / batch_size)
+    # erm's weights, per batch length: the last batch of an epoch may be shorter.
+    uniform = {m: np.full(m, 1.0 / m) for m in {batch_size, n - (steps_per_epoch - 1) * batch_size}}
+    sat_bound = eps + fs.SAT_TOL
     total_steps = max(config.epochs * steps_per_epoch, 1)
     train_rows = _featurized(model, train_ds)
     test_rows = _featurized(model, test_ds) if test_ds is not None else None
@@ -289,7 +325,7 @@ def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
                     preds, cache, g = _forward(model, theta, batch, kind, train_ws)
                     passes["forward"] += 1
                 t1 = clock()
-                eps_b = eps[batch.ids]
+                eps_b = eps if full_batch else eps[batch.ids]
                 v = fs.violations(g, eps_b)
                 max_step_violation = max(max_step_violation, float(v.max()))
 
@@ -297,10 +333,18 @@ def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
                     if config.analytic_dual:
                         lam_new = fs.analytic_dual_opt(g, eps_b, config.alpha)
                     else:
-                        lam_new = fs.dual_step_rfl(lam[batch.ids], v, config.eta_lambda,
-                                                   config.alpha, batch.ids)
-                    lam[batch.ids] = lam_new
-                    if lam_new.max() > fs.BLOWUP_THRESHOLD:
+                        lam_b = lam if full_batch else lam[batch.ids]
+                        lam_new = fs.dual_ascent(lam_b, v, config.eta_lambda, config.alpha)
+                    # One reduction for both checks: NaN fails the comparison, +inf exceeds.
+                    blown_up = not lam_new.max() <= fs.BLOWUP_THRESHOLD
+                    if blown_up and not config.analytic_dual:
+                        # raises on a non-finite multiplier, naming its samples
+                        fs.dual_step_rfl(lam_b, v, config.eta_lambda, config.alpha, batch.ids)
+                    if full_batch:
+                        lam = lam_new
+                    else:
+                        lam[batch.ids] = lam_new
+                    if blown_up:
                         blown = batch.ids[lam_new > fs.BLOWUP_THRESHOLD]
                         raise NumericError(
                             f"dual blow-up: multipliers exceed {fs.BLOWUP_THRESHOLD:g} "
@@ -309,7 +353,7 @@ def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
                 elif config.method == CSERM:
                     weights = fs.analytic_dual_opt(g, eps_b, config.alpha)
                 else:
-                    weights = np.full(len(batch), 1.0 / len(batch))
+                    weights = uniform[len(batch)]
 
                 t2 = clock()
                 grad = models.weighted_grad(model, cache, preds, batch.targets, weights, kind)
@@ -319,7 +363,7 @@ def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
                 if config.cosine_decay:
                     lr *= 0.5 * (1.0 + math.cos(math.pi * step_idx / total_steps))
                 theta = optimizer.step(theta, grad, lr)
-                if not np.all(np.isfinite(theta)):
+                if not np.isfinite(theta).all():
                     raise NumericError("parameters became non-finite after primal step")
                 step_idx += 1
                 t4 = clock()
@@ -356,7 +400,7 @@ def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
             "train_mean_loss": float(train_losses.sum()) / n,
             "train_max_loss": float(train_losses.max()),
             "train_accuracy": train_acc,
-            "sat_fraction": int(np.count_nonzero(train_losses <= eps + fs.SAT_TOL)) / n,
+            "sat_fraction": int(np.count_nonzero(train_losses <= sat_bound)) / n,
             "max_step_violation": max_step_violation,
             "lam_min": float(lam.min()),
             "lam_mean": float(lam.sum()) / n,
@@ -465,11 +509,15 @@ def _read_loss_csv(path) -> np.ndarray | None:
 def load_run(outdir) -> RunRecord:
     """Read a run directory back into the RunRecord that ``train()`` returned,
     without retraining. Its ``phase_s`` also holds the ``persist`` time that
-    ``save_run`` added."""
+    ``save_run`` added. Files of the wrong shape raise ValueError."""
     with open(os.path.join(outdir, "config.json")) as fh:
         config = json.load(fh)
     with open(os.path.join(outdir, "meta.json")) as fh:
         meta = json.load(fh)
+    if not isinstance(config, dict) or "method" not in config:
+        raise ValueError("config.json is not a trainer config: it has no 'method'")
+    if not isinstance(meta, dict) or set(meta) != set(_META_FIELDS):
+        raise ValueError(f"meta.json must hold exactly the fields {list(_META_FIELDS)}")
     with open(os.path.join(outdir, "trajectory.csv")) as fh:
         fh.readline()  # the header, TRAJECTORY_COLUMNS
         trajectory = [dict(zip(TRAJECTORY_COLUMNS, map(float, line.split(",")))) for line in fh]

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -52,6 +53,11 @@ class TestConfigLoading:
         path.write_text('{"dataset": }')
         with pytest.raises(ConfigError, match="line 1"):
             cli.load_config(str(path))
+
+    @pytest.mark.parametrize("source", [[1], 3, None], ids=["list", "int", "none"])
+    def test_source_neither_object_nor_path_is_a_config_error(self, source):
+        with pytest.raises(ConfigError, match=re.escape(f"got {source!r}")):
+            cli.load_config(source)
 
     def test_bad_quantiles(self):
         with pytest.raises(ConfigError, match="quantiles"):
@@ -725,7 +731,11 @@ class TestCompare:
         ("config.json", lambda raw: raw[:-3]),
         ("trajectory.csv", lambda raw: raw.replace(b"\n0,", b"\nzero,", 1)),
         ("checkpoint.bin", lambda raw: raw[:-8]),
-    ], ids=["truncated_meta", "truncated_config", "non_numeric_trajectory_cell", "short_checkpoint"])
+        ("meta.json", lambda raw: b"{}"),
+        ("config.json", lambda raw: json.dumps({k: v for k, v in json.loads(raw).items()
+                                                if k != "method"}).encode()),
+    ], ids=["truncated_meta", "truncated_config", "non_numeric_trajectory_cell", "short_checkpoint",
+            "empty_meta_object", "config_without_method"])
     def test_corrupt_run_dir_exits_two_naming_it(self, tmp_path, capsys, name, corrupt):
         cfg = _tiny_config(tmp_path, seeds=(0,))
         cli.run_experiment(cfg)

@@ -1,5 +1,6 @@
 import math
 import tempfile
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -248,6 +249,93 @@ class TestStepProtocol:
                 theta = theta - eta_t * (batch.features.T @ dpred)
         assert np.array_equal(record.params.theta, theta)
         assert np.array_equal(record.multipliers, lam)
+
+    @staticmethod
+    def _reference_run(cfg, model, ds):
+        """(theta, lam) of cfg's run, from a loop over the checked public
+        functions with the optimizers written out of place."""
+        kind, n = models.loss_kind(ds.task), ds.n_samples
+        rows = data.Batch(ds.ids, model.featurize(ds.features), ds.targets)
+        eps = np.broadcast_to(np.asarray(cfg.eps, dtype=np.float64), (n,))
+        theta, lam = model.init_params(cfg.seed), np.zeros(n)
+        batch_size = cfg.batch_size or n
+        total_steps = max(cfg.epochs * math.ceil(n / batch_size), 1)
+        b1, b2, stabilizer = (trainers.ADAMW_DEFAULTS[k] for k in ("beta1", "beta2", "stabilizer"))
+        buf = m = v = None
+        step = 0
+        for epoch in range(cfg.epochs):
+            for batch in data.batch_iter(rows, batch_size, data.combine_seed(cfg.seed, epoch)):
+                preds, cache = model.forward_cache(theta, batch.features)
+                g = models.per_sample_loss(kind, preds, batch.targets, batch.ids)
+                eps_b = eps[batch.ids]
+                if cfg.method == "erm":
+                    weights = np.full(len(batch), 1.0 / len(batch))
+                elif cfg.method == "cserm" or cfg.analytic_dual:
+                    weights = fs.analytic_dual_opt(g, eps_b, cfg.alpha)
+                else:
+                    weights = fs.dual_step_rfl(lam[batch.ids], fs.violations(g, eps_b),
+                                               cfg.eta_lambda, cfg.alpha, batch.ids)
+                if cfg.method in ("fl", "rfl"):
+                    lam[batch.ids] = weights
+                grad = models.weighted_grad(model, cache, preds, batch.targets, weights, kind)
+                lr = cfg.eta_theta
+                if cfg.cosine_decay:
+                    lr *= 0.5 * (1.0 + math.cos(math.pi * step / total_steps))
+                wd = cfg.weight_decay
+                if cfg.primal_optimizer == "sgd":
+                    theta = theta - lr * (grad + wd * theta)
+                elif cfg.primal_optimizer == "sgd_momentum":
+                    update = grad + wd * theta
+                    buf = update if buf is None else cfg.momentum * buf + update
+                    theta = theta - lr * buf
+                else:
+                    m = (1.0 - b1) * grad if m is None else b1 * m + (1.0 - b1) * grad
+                    v = (1.0 - b2) * grad * grad if v is None else b2 * v + (1.0 - b2) * grad * grad
+                    m_hat, v_hat = m / (1.0 - b1 ** (step + 1)), v / (1.0 - b2 ** (step + 1))
+                    theta = theta * (1.0 - lr * wd)
+                    theta = theta - lr * m_hat / (np.sqrt(v_hat) + stabilizer)
+                step += 1
+        return theta, lam
+
+    @pytest.mark.parametrize("mini_batch", [False, True], ids=["full_batch", "mini_batch"])
+    @pytest.mark.parametrize("method", ["erm", "fl", "rfl", "cserm"])
+    @settings(max_examples=25, deadline=None)
+    @given(family=st.sampled_from(["linear", "poly", "mlp"]),
+           optimizer=st.sampled_from(["sgd", "sgd_momentum", "adamw"]),
+           weight_decay=st.sampled_from([0.0, 0.05]), cosine_decay=st.booleans(),
+           analytic_dual=st.booleans(), per_sample_eps=st.booleans(),
+           n=st.integers(3, 11), batch_size=st.integers(1, 10), epochs=st.integers(1, 4),
+           seed=st.integers(0, 2**16))
+    def test_trainer_equals_a_loop_of_the_checked_functions_bitwise(
+            self, method, mini_batch, family, optimizer, weight_decay, cosine_decay,
+            analytic_dual, per_sample_eps, n, batch_size, epochs, seed):
+        # The trainer runs the loss and dual-update kernels without their
+        # checks, its optimizers update their moments in place, and full-batch
+        # steps index nothing: none of that may move a bit.
+        rng = np.random.default_rng(seed)
+        if family == "mlp":
+            ds = data.Dataset(features=rng.normal(size=(n, 2)), targets=rng.integers(0, 3, n),
+                              ids=rng.permutation(n), task=data.CLASSIFICATION)
+            model = models.MLP((2, 4, 3))
+        else:
+            ds = data.Dataset(features=rng.uniform(-1.0, 1.0, (n, 1)), targets=rng.uniform(-1.0, 1.0, n),
+                              ids=rng.permutation(n), task=data.REGRESSION)
+            model = models.LinearModel(1) if family == "linear" else models.PolyModel(3)
+        eps = rng.uniform(0.0, 0.5, n).tolist() if per_sample_eps else 0.2
+        cfg = TrainerConfig(method=method, eta_theta=0.02, eta_lambda=0.3, eps=eps,
+                            alpha=1.5 if method in ("rfl", "cserm") else math.inf,
+                            batch_size=min(batch_size, n - 1) if mini_batch else None,
+                            epochs=epochs, primal_optimizer=optimizer, momentum=0.8,
+                            weight_decay=weight_decay, cosine_decay=cosine_decay,
+                            analytic_dual=analytic_dual and method == "rfl", seed=seed)
+        record = train(cfg, model, ds)
+        theta, lam = self._reference_run(cfg, model, ds)
+        assert record.status == "completed"
+        assert record.params.theta.tobytes() == theta.tobytes()
+        assert record.multipliers.tobytes() == lam.tobytes()
+        final = models.per_sample_loss(models.loss_kind(ds.task), model.forward(theta, ds.features),
+                                       ds.targets)
+        assert record.train_losses.tobytes() == final.tobytes()
 
     def test_multipliers_outside_batch_are_bitwise_stale(self):
         rng = np.random.default_rng(1)
@@ -612,6 +700,18 @@ class TestOptimizers:
         assert theta[0] == pytest.approx(-1.0)
         assert theta2[0] == pytest.approx(-2.5)
 
+    @pytest.mark.parametrize("optimizer", [trainers._Sgd(0.1), trainers._SgdMomentum(0.5, 0.1),
+                                           trainers._AdamW(0.1)], ids=["sgd", "sgd_momentum", "adamw"])
+    def test_step_returns_a_new_theta_and_leaves_its_argument_alone(self, optimizer):
+        # MLP caches hold views of theta, so a step must not write into it,
+        # although the optimizers update their own moment buffers in place.
+        theta = np.array([1.0, -2.0, 0.5])
+        for grad in (np.array([0.3, 0.1, -0.2]), np.array([-0.1, 0.4, 0.2])):
+            given = theta.copy()
+            new = optimizer.step(theta, grad, lr=0.1)
+            assert np.array_equal(theta, given) and not np.shares_memory(new, theta)
+            theta = new
+
     def test_cosine_decay_runs_and_shrinks_steps(self):
         ds = _line_dataset()
         model = models.LinearModel(1)
@@ -779,6 +879,90 @@ class TestAbortNamesDatasetIds:
         trainers.save_run(record, tmp_path / "r")
         assert record.abort is None
         assert trainers.load_run(tmp_path / "r").meta["abort"] is None
+
+
+class TestAbortPathsUnderWarningsAsErrors:
+    """train() ignores overflow and invalid operations in one error state for the
+    whole run, so every abort below ends in its record, with the reason and ids
+    of the checked functions, and never in a warning; the caller's error state
+    is back in place when train() returns or raises."""
+
+    @staticmethod
+    def _train(cfg, model, train_ds, test_ds=None):
+        with warnings.catch_warnings(), np.errstate(over="raise", invalid="call", divide="warn"):
+            warnings.simplefilter("error")
+            before = np.geterr()
+            try:
+                return train(cfg, model, train_ds, test_ds)
+            finally:
+                assert np.geterr() == before
+
+    def test_overflowing_dual_update_then_blow_up(self):
+        # Sample 2's ascent overflows to -inf and projects to 0; samples 0 and 1
+        # pass the blow-up threshold.
+        ds = data.Dataset(features=np.ones((3, 1)), targets=np.array([1.0, 2.0, 0.0]),
+                          ids=np.arange(3), task=data.REGRESSION)
+        cfg = TrainerConfig(method="fl", eta_theta=1e-3, eta_lambda=1e300, eps=[0.0, 0.0, 1e10],
+                            epochs=3, seed=0)
+        record = self._train(cfg, models.LinearModel(1), ds)
+        assert record.abort_reason == "dual blow-up: multipliers exceed 1e+12 on samples [0, 1]"
+        assert record.abort == {"epoch": 0, "step": 0, "ids": [0, 1]}
+        assert record.multipliers.tolist() == [1e300 * 1.0, 1e300 * 4.0, 0.0]
+
+    @pytest.mark.parametrize("batch_size", [None, 2])
+    def test_non_finite_dual_update_keeps_the_old_multipliers(self, batch_size):
+        ds = data.Dataset(features=np.ones((3, 1)), targets=np.array([1.0, 2.0, 1e5]),
+                          ids=np.arange(3), task=data.REGRESSION)
+        cfg = TrainerConfig(method="rfl", alpha=1.0, eta_theta=1e-3, eta_lambda=1e300, eps=0.0,
+                            batch_size=batch_size, epochs=3, seed=0)
+        record = self._train(cfg, models.LinearModel(1), ds)
+        assert record.abort_reason == "dual update produced non-finite multipliers at [2]"
+        assert record.abort["ids"] == [2]
+        assert not record.multipliers[2]
+
+    def test_non_finite_loss_at_epoch_end_evaluation(self):
+        test_ds = data.Dataset(features=np.array([[0.5], [1e200]]), targets=np.zeros(2),
+                               ids=np.arange(2), task=data.REGRESSION)
+        cfg = TrainerConfig(method="fl", eta_theta=1e-2, eta_lambda=0.1, eps=0.05, epochs=4, seed=5)
+        record = self._train(cfg, models.MLP((1, 6, 1), data.REGRESSION),
+                             data.gen_noisy_cosine(30, 0.1, 5), test_ds)
+        assert record.abort_reason == "epoch-end evaluation failed: non-finite losses for samples [1]"
+        assert record.abort == {"epoch": 0, "step": 1, "ids": [1]}
+
+    def test_non_finite_prediction_inside_a_step(self):
+        # Batch [5, 0] takes theta to about 1e200; batch [6, 1] then predicts
+        # inf for id 6, whose feature is 1e200 too.
+        x = np.ones((8, 1))
+        x[[5, 6], 0] = 1e200
+        ds = data.Dataset(features=x, targets=np.ones(8), ids=np.arange(8), task=data.REGRESSION)
+        cfg = TrainerConfig(method="erm", eta_theta=1.0, batch_size=2, epochs=3, seed=0)
+        record = self._train(cfg, models.LinearModel(1), ds)
+        assert record.abort_reason == "non-finite predictions for samples [6]"
+        assert record.abort == {"epoch": 0, "step": 1, "ids": [6]}
+
+    def test_minus_infinite_logit_aborts_although_its_loss_is_finite(self):
+        # theta sends the logits of id 1 to (-inf, 0): its cross-entropy on
+        # label 1 is 0, so only the logit check catches it.
+        ds = data.Dataset(features=np.array([[0.0], [1e300]]), targets=np.array([0, 1]),
+                          ids=np.arange(2), task=data.CLASSIFICATION)
+        model = models.MLP((1, 2))
+        theta = np.array([-1e10, 0.0, 0.0, 0.0])  # weights (2, 1), then biases
+        with np.errstate(over="ignore"):
+            preds, _ = model.forward_cache(theta, ds.features)
+            assert models.loss_kernel(models.CROSS_ENTROPY, preds, ds.targets)[1] == 0.0
+        cfg = TrainerConfig(method="erm", eta_theta=0.1, epochs=2, seed=0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "init_params", lambda seed: theta.copy())
+            record = self._train(cfg, model, ds)
+        assert record.abort_reason == "non-finite predictions for samples [1]"
+        assert record.abort == {"epoch": 0, "step": 0, "ids": [1]}
+
+    def test_raising_train_restores_the_error_state(self):
+        ds = data.Dataset(features=np.zeros((4, 2)), targets=[0, 1, 2, 1], ids=np.arange(4),
+                          task=data.CLASSIFICATION)
+        cfg = TrainerConfig(method="erm", eta_theta=0.1, batch_size=2, epochs=1, seed=0)
+        with pytest.raises(ParameterError, match=r"samples \[2\] have class labels"):
+            self._train(cfg, models.MLP((2, 3, 2)), ds)
 
 
 class TestLabelRange:

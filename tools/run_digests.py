@@ -1,0 +1,136 @@
+"""Print one sha256 per run file that a checkout's feaslearn writes.
+
+    python3 tools/run_digests.py CHECKOUT [--epochs 100]
+
+Imports feaslearn from CHECKOUT/src, with BLAS pinned to one thread. Trains
+seed 0 of every `feaslearn gen-config` template, for at most --epochs epochs,
+under each trainer setting in SETTINGS (and with the closed-form dual for the
+rfl templates), then the runs of `aborts()`, which end in an abort record. Each
+run is written with `trainers.save_run`, and each of its files prints as
+
+    <sha256>  <run>/<file>
+
+`meta.json` is hashed without `wall_clock_s` and `phase_s`, the only bytes
+that differ between two identical runs. So two checkouts train the same bits,
+and abort with the same reasons and ids, when the outputs do not differ:
+
+    python3 tools/run_digests.py PARENT > parent.txt
+    python3 tools/run_digests.py . > change.txt
+    diff parent.txt change.txt
+
+NumPy warnings go to stderr as usual; the parent of a change may emit some
+that the change does not.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+# name: trainer fields that override the template's
+SETTINGS = {
+    "as_given": {},
+    "sgd": {"primal_optimizer": "sgd"},
+    "momentum_wd_cosine": {"primal_optimizer": "sgd_momentum", "momentum": 0.8,
+                           "weight_decay": 1e-3, "cosine_decay": True},
+    "adamw_wd_cosine": {"primal_optimizer": "adamw", "weight_decay": 1e-2, "cosine_decay": True},
+}
+
+
+def aborts(data, models, np):
+    """{name: (trainer fields, model, train set, test set)} of runs that abort."""
+    ones = np.ones((3, 1))
+    step_x = np.ones((8, 1))
+    step_x[[5, 6], 0] = 1e200  # batch [5, 0] takes theta to ~1e200, batch [6, 1] overflows
+    logits_x = np.array([[1.0, 0.0], [1e300, 0.0], [0.0, 1.0], [1e300, 1e300]])
+    cosine = data.gen_noisy_cosine(30, 0.1, 5)
+    far = data.Dataset(features=np.array([[0.5], [1e200]]), targets=np.zeros(2), ids=np.arange(2),
+                       task=data.REGRESSION)
+    return {
+        # sample 2's update overflows to -inf and projects to 0; 0 and 1 blow up
+        "dual_overflow_then_blowup": (
+            {"method": "fl", "eta_theta": 1e-3, "eta_lambda": 1e300, "eps": [0.0, 0.0, 1e10]},
+            models.LinearModel(1),
+            data.Dataset(features=ones, targets=np.array([1.0, 2.0, 0.0]), ids=np.arange(3),
+                         task=data.REGRESSION), None),
+        "dual_non_finite": (
+            {"method": "rfl", "alpha": 1.0, "eta_theta": 1e-3, "eta_lambda": 1e300, "eps": 0.0},
+            models.LinearModel(1),
+            data.Dataset(features=ones, targets=np.array([1.0, 2.0, 1e5]), ids=np.arange(3),
+                         task=data.REGRESSION), None),
+        "eval_non_finite_loss": (
+            {"method": "fl", "eta_theta": 1e-2, "eta_lambda": 0.1, "eps": 0.05},
+            models.MLP((1, 6, 1), data.REGRESSION), cosine, far),
+        "step_non_finite_prediction": (
+            {"method": "erm", "eta_theta": 1.0, "batch_size": 2},
+            models.LinearModel(1),
+            data.Dataset(features=step_x, targets=np.ones(8), ids=np.arange(8),
+                         task=data.REGRESSION), None),
+        "step_non_finite_logit": (
+            {"method": "erm", "eta_theta": 1.0, "batch_size": 2},
+            models.MLP((2, 2)),
+            data.Dataset(features=logits_x, targets=np.array([0, 1, 1, 0]), ids=np.arange(4),
+                         task=data.CLASSIFICATION), None),
+    }
+
+
+def file_digests(run_dir: Path) -> dict:
+    out = {}
+    for path in sorted(run_dir.iterdir()):
+        raw = path.read_bytes()
+        if path.name == "meta.json":
+            meta = json.loads(raw)
+            for key in ("wall_clock_s", "phase_s"):
+                meta.pop(key, None)
+            raw = json.dumps(meta, sort_keys=True).encode()
+        out[path.name] = hashlib.sha256(raw).hexdigest()
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("checkout", type=Path)
+    parser.add_argument("--epochs", type=int, default=100)
+    args = parser.parse_args(argv)
+    src = (args.checkout / "src").resolve()
+    sys.path.insert(0, str(src))
+    import numpy as np
+    from feaslearn import cli, data, models, trainers
+    if not Path(cli.__file__).resolve().is_relative_to(src):
+        print(f"feaslearn was imported from {cli.__file__}, not from {src}", file=sys.stderr)
+        return 1
+
+    runs = []  # (name, trainer fields, model, train set, test set)
+    for name, template in sorted(cli.config_templates().items()):
+        cfg = cli.load_config(template)
+        train_ds, test_ds = cli.build_dataset(cfg, 0)
+        model = cli.build_model(cfg, train_ds)
+        settings = dict(SETTINGS)
+        if cfg["trainer"]["method"] == trainers.RFL:
+            settings["analytic_dual"] = {"analytic_dual": True}
+        for setting, fields in settings.items():
+            trainer = {**cfg["trainer"], **fields, "epochs": min(cfg["trainer"]["epochs"], args.epochs)}
+            runs.append((f"{name}-{setting}", trainer, model, train_ds, test_ds))
+    for name, (fields, model, train_ds, test_ds) in aborts(data, models, np).items():
+        runs.append((f"abort-{name}", {"epochs": 3, **fields}, model, train_ds, test_ds))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, trainer, model, train_ds, test_ds in runs:
+            record = trainers.train(trainers.TrainerConfig(seed=0, **trainer), model, train_ds, test_ds)
+            run_dir = Path(tmp) / name
+            trainers.save_run(record, run_dir)
+            for file, digest in file_digests(run_dir).items():
+                print(f"{digest}  {name}/{file}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
