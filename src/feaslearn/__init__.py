@@ -6,18 +6,8 @@ relaxed through minimal-norm slacks, and ships the verification oracles and
 experiment CLI used to exercise both.
 """
 
-from .data import (
-    Batch,
-    Dataset,
-    batch_iter,
-    gen_conflicting_pairs,
-    gen_noisy_cosine,
-    gen_two_moons,
-    poly_features,
-    split_train_test,
-)
+from .data import Batch, Dataset, gen_two_moons, poly_features
 from .feasibility import (
-    analytic_dual_opt,
     cserm_objective,
     dual_step_rfl,
     lagrangian_alpha,
@@ -25,24 +15,14 @@ from .feasibility import (
     slack_view,
     violations,
 )
-from .models import (
-    MLP,
-    LinearModel,
-    ModelParams,
-    PolyModel,
-    per_sample_loss,
-    weighted_loss_grad,
-)
+from .models import MLP, LinearModel, PolyModel, per_sample_loss, weighted_loss_grad
 from .trainers import RunRecord, TrainerConfig, train
 
 __all__ = [
-    "Batch", "Dataset", "batch_iter", "gen_conflicting_pairs", "gen_noisy_cosine",
-    "gen_two_moons", "poly_features", "split_train_test",
-    "analytic_dual_opt", "cserm_objective",
-    "dual_step_rfl", "lagrangian_alpha", "lagrangian_rfl_slack",
+    "Batch", "Dataset", "gen_two_moons", "poly_features",
+    "cserm_objective", "dual_step_rfl", "lagrangian_alpha", "lagrangian_rfl_slack",
     "slack_view", "violations",
-    "MLP", "LinearModel", "ModelParams", "PolyModel", "per_sample_loss",
-    "weighted_loss_grad",
+    "MLP", "LinearModel", "PolyModel", "per_sample_loss", "weighted_loss_grad",
     "RunRecord", "TrainerConfig", "train",
 ]
 

@@ -14,6 +14,7 @@ directories.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import dataclasses
 import json
@@ -71,6 +72,15 @@ _KINDS = {int: (lambda v: tr.is_number(v, True), "an integer"), float: (tr.is_nu
 
 def _fail(path: str, message: str):
     raise ConfigError(f"config field '{path}': {message}")
+
+
+@contextlib.contextmanager
+def _writing(path):
+    """Turn an OSError in the block into a ConfigError naming ``path``."""
+    try:
+        yield
+    except OSError as err:
+        raise ConfigError(f"cannot write {path}: {err.strerror}") from None
 
 
 def _section(given: dict, path: str, fields: dict) -> dict:
@@ -252,7 +262,8 @@ def _run_seed(cfg: dict, outdir: str, seed: int) -> tuple[dict, bool]:
     record.config["experiment"] = {k: cfg[k] for k in ("name", "dataset", "split", "model", "metrics")}
     seed_dir = os.path.join(outdir, f"seed_{seed}")
     try:
-        tr.save_run(record, seed_dir)  # creates outdir too
+        with _writing(outdir):
+            tr.save_run(record, seed_dir)  # creates outdir too
         return _seed_metrics(cfg, record, model, train_ds, test_ds), record.aborted
     except Exception:
         shutil.rmtree(seed_dir, ignore_errors=True)
@@ -489,7 +500,8 @@ def compare(run_dirs, quantiles=None, out_dir="comparison", svg: bool = False) -
             table.append(row)
 
     # Everything is computed, so a bad quantile has raised before anything is written.
-    os.makedirs(out_dir, exist_ok=True)
+    with _writing(out_dir):
+        os.makedirs(out_dir, exist_ok=True)
     for split, by_label in curves.items():
         for label, c in by_label.items():
             for kind in ("cdf", "cvar"):
@@ -524,14 +536,14 @@ def verify(suite: str = "all", report_path: str | None = None) -> dict:
         raise ConfigError("suite must be props, gradients, or all")
     checks = []
     if suite in ("props", "all"):
-        checks.append(oracle.check_cserm_identity("all", n_trials=1000, tol=1e-10, seed=0))
+        checks.append(oracle.check_cserm_identity(n_trials=1000, tol=1e-10, seed=0))
         checks.append(oracle.slack_elimination_suite(n_trials=100, n_perturbations=100,
                                                      tol=1e-10, seed=0))
     if suite in ("gradients", "all"):
         checks.append(oracle.gradient_check_report(n_draws=20, tol=1e-5, seed=0))
     report = {"suite": suite, "passed": all(c["passed"] for c in checks), "checks": checks}
     if report_path:
-        with open(report_path, "w") as fh:
+        with _writing(report_path), open(report_path, "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return report
@@ -582,7 +594,7 @@ def gen_config(template: str, out_path: str | None = None) -> str:
     if template not in templates:
         raise ConfigError(f"unknown template {template!r}; available: {sorted(templates)}")
     path = out_path or f"{template}.json"
-    with open(path, "w") as fh:
+    with _writing(path), open(path, "w") as fh:
         json.dump(templates[template], fh, indent=2)
         fh.write("\n")
     return path

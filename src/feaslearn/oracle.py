@@ -3,22 +3,20 @@
 These routines validate the analytic building blocks against independent
 formulas: hand-written gradients against central finite differences of the
 trainer's own forward pass and losses, the closed-form dual maximizer
-against direct evaluation of both objective forms, slack elimination
-against explicit perturbations of the slack-form value, and feasibility
-claims against exhaustive grid search. The test suite trusts the trainer
-only after these pass.
+against direct evaluation of both objective forms, and slack elimination
+against explicit perturbations of the slack-form value. The test suite
+trusts the trainer only after these pass.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 
 from . import feasibility as fs
 from . import models
-from .data import Batch, CLASSIFICATION, REGRESSION, Dataset
+from .data import Batch, CLASSIFICATION, REGRESSION
 from .errors import NumericError, ParameterError, ShapeError
 
 DEFAULT_FAMILIES = ("linear", "poly", "mlp_regressor", "mlp_classifier")
@@ -80,10 +78,10 @@ def random_problem(family: str, rng: np.random.Generator):
     return model, theta, Batch(np.arange(n), X, y), models.loss_kind(model.task)
 
 
-def check_cserm_identity(model_family: str = "all", n_trials: int = 1000,
-                         tol: float = 1e-10, seed: int = 0) -> dict:
+def check_cserm_identity(n_trials: int = 1000, tol: float = 1e-10, seed: int = 0) -> dict:
     """Verify that the regularized dual value at its analytic maximizer equals
-    the clamped-and-squared objective, on random (theta, data, eps, alpha).
+    the clamped-and-squared objective, on random (theta, data, eps, alpha)
+    drawn from each of ``DEFAULT_FAMILIES`` in turn.
 
     Both sides are evaluated by independent formulas: lam = alpha [g - eps]_+
     plugged into lam^T (g - eps) - ||lam||^2 / (2 alpha) on one side, the
@@ -91,12 +89,11 @@ def check_cserm_identity(model_family: str = "all", n_trials: int = 1000,
     """
     if tol <= 0:
         raise ParameterError("tol must be positive")
-    families = DEFAULT_FAMILIES if model_family == "all" else (model_family,)
     rng = np.random.default_rng(seed)
     discs = []
     failures = []
     for trial in range(n_trials):
-        family = families[trial % len(families)]
+        family = DEFAULT_FAMILIES[trial % len(DEFAULT_FAMILIES)]
         model, theta, batch, kind = random_problem(family, rng)
         g = models.per_sample_loss(kind, model.forward(theta, batch.features), batch.targets)
         if rng.random() < 0.5:
@@ -233,43 +230,3 @@ def gradient_check_report(families=DEFAULT_FAMILIES, n_draws: int = 20,
         if worst["rel_error"] > tol:
             out["passed"] = False
     return out
-
-
-def _grid_axes(n_params: int, grid) -> list[np.ndarray]:
-    if isinstance(grid, (list, tuple)) and grid and isinstance(grid[0], (list, tuple)):
-        specs = list(grid)
-    else:
-        specs = [grid] * n_params
-    if len(specs) != n_params:
-        raise ParameterError("need one grid spec per parameter")
-    return [np.linspace(float(lo), float(hi), int(num)) for lo, hi, num in specs]
-
-
-def brute_force_feasible(dataset: Dataset, spec, model: models.Model,
-                         grid=(-5.0, 5.0, 201), tol: float = 1e-6) -> dict:
-    """Exhaustive grid search for parameters meeting every constraint.
-
-    Only for models with one or two parameters. Returns a witness when some
-    grid point has max violation <= tol; otherwise the grid minimum of the
-    max violation stands as an infeasibility certificate (valid up to grid
-    resolution and the smoothness of the losses).
-    """
-    if model.n_params > 2:
-        raise ParameterError("brute force search supports at most 2 parameters")
-    kind = models.loss_kind(dataset.task)
-    axes = _grid_axes(model.n_params, grid)
-    best_theta, best_maxviol = None, math.inf
-    for point in itertools.product(*axes):
-        theta = np.array(point, dtype=np.float64)
-        g = models.per_sample_loss(kind, model.forward(theta, dataset.features), dataset.targets)
-        maxviol = float(np.maximum(fs.violations(g, spec), 0.0).max())
-        if maxviol < best_maxviol:
-            best_theta, best_maxviol = theta, maxviol
-    feasible = best_maxviol <= tol
-    return {
-        "feasible": feasible,
-        "witness": best_theta.tolist() if feasible else None,
-        "min_max_violation": best_maxviol,
-        "argmin_theta": best_theta.tolist(),
-        "tol": tol,
-    }

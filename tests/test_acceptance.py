@@ -26,7 +26,7 @@ def _report(pid: str, ok: bool, detail: str):
 
 def test_p1_analytic_dual_identity():
     start = time.perf_counter()
-    report = oracle.check_cserm_identity("all", n_trials=1000, tol=1e-10, seed=0)
+    report = oracle.check_cserm_identity(n_trials=1000, tol=1e-10, seed=0)
     elapsed = time.perf_counter() - start
     ok = report["passed"] and elapsed < 10.0
     _report("P1", ok,

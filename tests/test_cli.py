@@ -338,11 +338,12 @@ class TestRunExperiment:
 
     def test_eps_of_the_wrong_length_exits_two_and_writes_nothing(self, tmp_path, capsys):
         cfg = _tiny_config(tmp_path, seeds=(0,), eps=[0.3, 0.3])
+        cfg["output_dir"] = str(tmp_path / "new" / "runs" / "tiny_fl")  # under directories not made yet
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
         assert "eps must be a scalar or a length-36 vector" in capsys.readouterr().err
-        assert not os.path.exists(cfg["output_dir"])
+        assert not os.path.exists(tmp_path / "new")
 
     @pytest.mark.parametrize("content,named", [
         (None, "'dataset.path': required for csv"),
@@ -838,6 +839,35 @@ class TestGenConfig:
         cfg["output_dir"] = str(tmp_path / "cp_run")
         summary = cli.run_experiment(cfg)
         assert not summary["any_aborted"]
+
+
+@pytest.mark.parametrize("verb", ["gen-config", "verify", "compare", "run"])
+def test_unwritable_output_path_exits_two_naming_it(tmp_path, capsys, verb):
+    blocker = tmp_path / "a_file"
+    blocker.write_text("not a directory\n")
+    missing = tmp_path / "missing"
+    if verb == "gen-config":
+        path = missing / "x.json"
+        argv = ["gen-config", "two_moons_fl", "--out", str(path)]
+    elif verb == "verify":
+        path = missing / "r.json"
+        argv = ["verify", "props", "--report", str(path)]
+    elif verb == "compare":
+        cfg = _tiny_config(tmp_path, seeds=(0,))
+        cli.run_experiment(cfg)
+        path = blocker / "cmp"
+        argv = ["compare", os.path.join(cfg["output_dir"], "seed_0"), "--out", str(path)]
+    else:
+        cfg = _tiny_config(tmp_path)
+        path = blocker / "out"
+        cfg["output_dir"] = str(path)
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        argv = ["run", str(tmp_path / "cfg.json")]
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert f"config error: cannot write {path}: " in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert blocker.read_text() == "not a directory\n"
 
 
 def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):

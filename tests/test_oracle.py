@@ -1,5 +1,6 @@
 """Oracle self-tests: these run before anything else is trusted."""
 
+import itertools
 import math
 
 import numpy as np
@@ -50,7 +51,7 @@ def test_cserm_identity_feasible_case_is_zero():
 
 
 def test_cserm_identity_thousand_trials():
-    report = oracle.check_cserm_identity("all", n_trials=1000, tol=1e-10, seed=0)
+    report = oracle.check_cserm_identity(n_trials=1000, tol=1e-10, seed=0)
     assert report["passed"], report
     assert report["max_discrepancy"] <= 1e-10
 
@@ -156,7 +157,7 @@ def test_slack_inner_min_fails_on_nan_value(monkeypatch):
 
 def test_cserm_identity_fails_on_nan_value(monkeypatch):
     monkeypatch.setattr(fs, "lagrangian_alpha", lambda *args: math.nan)
-    report = oracle.check_cserm_identity("all", n_trials=8, seed=0)
+    report = oracle.check_cserm_identity(n_trials=8, seed=0)
     assert not report["passed"]
     assert math.isnan(report["max_discrepancy"])
     assert len(report["failures"]) == 8
@@ -281,6 +282,32 @@ def test_stacked_forward_slices_equal_model_forward_bitwise(family, seed, extra_
         assert np.array_equal(stacked[s], preds)
 
 
+def brute_force_feasible(dataset: Dataset, spec, model: models.Model,
+                         grid=(-5.0, 5.0, 201), tol: float = 1e-6) -> dict:
+    """Exhaustive grid search for parameters meeting every constraint.
+
+    Only for models with one or two parameters; every parameter sweeps
+    ``np.linspace(*grid)``. Returns a witness when some grid point has max
+    violation <= tol; otherwise the grid minimum of the max violation stands
+    as an infeasibility certificate (valid up to grid resolution and the
+    smoothness of the losses).
+    """
+    if model.n_params > 2:
+        raise ParameterError("brute force search supports at most 2 parameters")
+    kind = models.loss_kind(dataset.task)
+    axis = np.linspace(float(grid[0]), float(grid[1]), int(grid[2]))
+    best_theta, best_maxviol = None, math.inf
+    for point in itertools.product(axis, repeat=model.n_params):
+        theta = np.array(point, dtype=np.float64)
+        g = models.per_sample_loss(kind, model.forward(theta, dataset.features), dataset.targets)
+        maxviol = float(np.maximum(fs.violations(g, spec), 0.0).max())
+        if maxviol < best_maxviol:
+            best_theta, best_maxviol = theta, maxviol
+    feasible = best_maxviol <= tol
+    return {"feasible": feasible, "witness": best_theta.tolist() if feasible else None,
+            "min_max_violation": best_maxviol}
+
+
 def _constant_predictor_dataset(base: Dataset) -> Dataset:
     return Dataset(features=np.ones((base.n_samples, 1)), targets=base.targets,
                    ids=base.ids.copy(), task=base.task)
@@ -289,7 +316,7 @@ def _constant_predictor_dataset(base: Dataset) -> Dataset:
 def test_brute_force_infeasible_conflicting_pairs():
     from feaslearn.data import gen_conflicting_pairs
     ds = _constant_predictor_dataset(gen_conflicting_pairs(1, 1, 2.0, 0))
-    report = oracle.brute_force_feasible(ds, 0.0, LinearModel(1), grid=(-6.0, 6.0, 601))
+    report = brute_force_feasible(ds, 0.0, LinearModel(1), grid=(-6.0, 6.0, 601))
     assert not report["feasible"]
     # midpoint is the optimum: max squared error exactly 1; allow grid slack
     assert report["min_max_violation"] >= 1.0 - 0.05
@@ -303,7 +330,7 @@ def test_brute_force_feasible_with_loose_bound():
     midpoint = pairs.targets.mean()
     # eps = 1 makes the midpoint the unique feasible constant, so the
     # feasibility tolerance must absorb the grid spacing
-    report = oracle.brute_force_feasible(ds, 1.0, LinearModel(1), grid=(-6.0, 6.0, 601), tol=0.05)
+    report = brute_force_feasible(ds, 1.0, LinearModel(1), grid=(-6.0, 6.0, 601), tol=0.05)
     assert report["feasible"]
     assert abs(report["witness"][0] - midpoint) < 0.05
 
@@ -311,7 +338,7 @@ def test_brute_force_feasible_with_loose_bound():
 def test_brute_force_single_sample_interpolation():
     ds = Dataset(features=np.array([[2.0]]), targets=np.array([3.0]),
                  ids=np.array([0]), task="regression")
-    report = oracle.brute_force_feasible(ds, 0.0, LinearModel(1), grid=(-5.0, 5.0, 201))
+    report = brute_force_feasible(ds, 0.0, LinearModel(1), grid=(-5.0, 5.0, 201))
     assert report["feasible"]
     assert report["witness"][0] == pytest.approx(1.5, abs=1e-12)
 
@@ -326,14 +353,14 @@ def test_brute_force_agrees_with_trainer_on_feasible_problem():
     record = train(cfg, model, ds)
     trained_viol = max(0.0, record.trajectory[-1]["train_max_loss"] - 0.05)
     assert trained_viol <= 1e-6
-    report = oracle.brute_force_feasible(ds, 0.05, model, grid=(-5.0, 5.0, 201), tol=1e-6)
+    report = brute_force_feasible(ds, 0.05, model, grid=(-5.0, 5.0, 201), tol=1e-6)
     assert report["feasible"]
 
 
 def test_brute_force_rejects_large_models():
     ds = Dataset(features=np.ones((2, 3)), targets=np.zeros(2), ids=np.arange(2), task="regression")
     with pytest.raises(ParameterError):
-        oracle.brute_force_feasible(ds, 0.0, LinearModel(3))
+        brute_force_feasible(ds, 0.0, LinearModel(3))
 
 
 def test_random_problem_unknown_family():

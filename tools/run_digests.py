@@ -11,8 +11,16 @@ run is written with `trainers.save_run`, and each of its files prints as
     <sha256>  <run>/<file>
 
 `meta.json` is hashed without `wall_clock_s` and `phase_s`, the only bytes
-that differ between two identical runs. So two checkouts train the same bits,
-and abort with the same reasons and ids, when the outputs do not differ:
+that differ between two identical runs. Last comes the report file that the
+checkout's own `cli.verify("all", report_path=...)` writes, the file of
+`feaslearn verify all --report`, as
+
+    <sha256>  verify_all/report.json
+
+So two checkouts train the same bits, abort with the same reasons and ids,
+and verify to the same report, when the outputs do not differ. Run one copy
+of this tool, the newer one, against both checkouts, so that both outputs
+list the same runs:
 
     python3 tools/run_digests.py PARENT > parent.txt
     python3 tools/run_digests.py . > change.txt
@@ -129,6 +137,9 @@ def main(argv=None) -> int:
             trainers.save_run(record, run_dir)
             for file, digest in file_digests(run_dir).items():
                 print(f"{digest}  {name}/{file}")
+        report = Path(tmp) / "verify_all.json"
+        cli.verify("all", report_path=str(report))
+        print(f"{hashlib.sha256(report.read_bytes()).hexdigest()}  verify_all/report.json")
     return 0
 
 
