@@ -193,6 +193,8 @@ def gradient_check_report(families=DEFAULT_FAMILIES, n_draws: int = 20,
     the code the trainer runs on one theta. Reports the worst relative error
     and the offending coordinate.
     """
+    if isinstance(families, str):
+        raise ParameterError(f"families must be a sequence of family names, got the string {families!r}")
     rng = np.random.default_rng(seed)
     out = {"check": "gradients", "tol": tol, "families": {}, "passed": True}
     for family in families:

@@ -54,6 +54,12 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="line 1"):
             cli.load_config(str(path))
 
+    def test_file_holding_a_json_array_is_a_config_error(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ConfigError, match="^config must be a JSON object$"):
+            cli.load_config(str(path))
+
     @pytest.mark.parametrize("source", [[1], 3, None], ids=["list", "int", "none"])
     def test_source_neither_object_nor_path_is_a_config_error(self, source):
         with pytest.raises(ConfigError, match=re.escape(f"got {source!r}")):
@@ -295,10 +301,16 @@ class TestRunExperiment:
         ("trainer", "weight_decay", "x", "weight_decay must be a number"),
         ("trainer", "analytic_dual", "no", "analytic_dual must be true or false"),
         ("trainer", "eta_lambda", "x", "eta_lambda must be a number"),  # on erm, which ignores it
+        ("model", "family", "tree", "'model.family': unknown family 'tree'"),
+        ("split", "test_fraction", 1.5, "'split.test_fraction': must lie in [0, 1)"),
+        ("dataset", "seed", "x", "'dataset.seed': must be a non-negative integer or null"),
+        ("split", "seed", -1, "'split.seed': must be a non-negative integer or null"),
+        ("model", "domain", [0.0], "'model.domain': must be [lo, hi] or null, got [0.0]"),
+        ("model", "degree", -1, "config field 'model': degree must be >= 0"),  # from build_model
     ])
     def test_mistyped_value_exits_two(self, tmp_path, capsys, section, key, value, named):
         cfg = _tiny_config(tmp_path, seeds=(0,))
-        if key == "degree":
+        if key in ("degree", "domain"):
             cfg["model"] = {"family": "poly"}
         if key == "eta_lambda":
             cfg["trainer"]["method"] = "erm"
@@ -572,6 +584,37 @@ class TestParallelSeeds:
         assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
         assert os.listdir(cfg["output_dir"]) == ["notes.txt"]
 
+    @pytest.mark.parametrize("failing", [{1}, {0, 1, 2}], ids=["seed1", "every_seed"])
+    @pytest.mark.parametrize("pooled", [True, False], ids=["pool", "in_process"])
+    def test_seed_failing_before_its_write_keeps_an_earlier_runs_seed_dir(self, tmp_path, monkeypatch,
+                                                                          failing, pooled):
+        def files():
+            root = tmp_path / "tiny_fl"
+            return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+        cfg = _tiny_config(tmp_path, seeds=(0, 1, 2))
+        cli.run_experiment(cfg)
+        earlier = files()
+        real = cli.build_dataset
+
+        def fails_on_some_seeds(cfg, seed):  # forked workers inherit the patch
+            if seed in failing:
+                raise ConfigError(f"no data for seed {seed}")
+            return real(cfg, seed)
+
+        monkeypatch.setattr(cli, "build_dataset", fails_on_some_seeds)
+        if not pooled:
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        with pytest.raises(ConfigError, match=f"no data for seed {min(failing)}"):
+            cli.run_experiment(cfg)
+        now = files()
+        # a failing seed wrote nothing, so the earlier run's files of it stay as they were
+        kept = {p: b for p, b in earlier.items()
+                if p.split(os.sep)[0] in {"summary.json", *(f"seed_{s}" for s in failing)}}
+        assert {p: now.get(p) for p in kept} == kept
+        if failing == {0, 1, 2}:
+            assert now == earlier
+
     def test_daemonic_caller_runs_its_seeds_in_process(self, tmp_path):
         # a multiprocessing pool's worker is daemonic and may not start processes of its own
         import multiprocessing
@@ -686,6 +729,19 @@ class TestCompare:
                 assert (out / f"cvar_{method}_{split}.csv").exists()
         assert (out / "table.csv").exists()
         assert (out / "comparison.json").exists()
+
+    def test_main_prints_a_line_per_table_row(self, tmp_path, capsys):
+        cfg = _tiny_config(tmp_path)
+        cli.run_experiment(cfg)
+        dirs = [os.path.join(cfg["output_dir"], f"seed_{s}") for s in (0, 1)]
+        out = tmp_path / "cmp"
+        assert cli.main(["compare", *dirs, "--out", str(out)]) == cli.EXIT_OK
+        table = json.loads((out / "comparison.json").read_text())["table"]
+        assert [(row["method"], row["split"]) for row in table] == [("fl", "train"), ("fl", "test")]
+        assert capsys.readouterr().out.splitlines() == [
+            f"{row['method']:24s} {row['split']:5s} mean={row['mean_loss']:.6g} "
+            f"max={row['max_loss']:.6g} acc={row['accuracy']:.3f}" for row in table
+        ] + [f"curves written to {out}"]
 
     def test_self_compare_is_idempotent(self, tmp_path):
         cfg = _tiny_config(tmp_path, seeds=(0,))
@@ -827,6 +883,12 @@ class TestGenConfig:
         cfg = cli.load_config(path)
         assert cfg["trainer"]["method"] == "fl"
         assert cfg["model"]["layers"] == [2, 70, 70, 2]
+
+    def test_main_writes_the_template_and_names_the_file(self, tmp_path, capsys):
+        out = tmp_path / "t.json"
+        assert cli.main(["gen-config", "noisy_cosine_fl", "--out", str(out)]) == cli.EXIT_OK
+        assert capsys.readouterr().out == f"wrote {out}\n"
+        assert json.loads(out.read_text()) == cli.config_templates()["noisy_cosine_fl"]
 
     def test_unknown_template_exits_two(self):
         assert cli.main(["gen-config", "mystery"]) == cli.EXIT_CONFIG

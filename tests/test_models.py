@@ -303,6 +303,17 @@ class TestWeightedLossGrad:
             models.weighted_loss_grad(model, np.zeros(1), batch, np.array([1.0, -0.1]),
                                       models.SQUARED_ERROR)
 
+    @pytest.mark.parametrize("x,weights,error,message", [
+        (1.0, [1.0, 1.0, 1.0], ShapeError, "weights must have one entry per batch sample"),
+        (1e200, [1.0, 1.0], NumericError, "non-finite entries in weighted loss gradient"),
+    ], ids=["wrong_length_weights", "overflowing_gradient"])
+    def test_rejects_wrong_length_weights_and_non_finite_gradients(self, x, weights, error, message):
+        # at x = 1e200 the gradient x * 2 (x - 0) overflows
+        batch = Batch(np.arange(2), np.full((2, 1), x), np.zeros(2))
+        with np.errstate(over="ignore"), pytest.raises(error, match=message):
+            models.weighted_loss_grad(models.LinearModel(1), np.ones(1), batch, np.array(weights),
+                                      models.SQUARED_ERROR)
+
     def test_single_forward_single_backward(self):
         model = models.MLP((2, 8, 2))
         batch = _random_batch(model, np.random.default_rng(5), models.CROSS_ENTROPY)

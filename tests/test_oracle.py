@@ -170,6 +170,12 @@ def test_gradient_check_all_families():
         assert report["families"][fam]["rel_error"] < 1e-5
 
 
+def test_gradient_check_rejects_a_bare_family_name():
+    # iterated, the string would be the families "l", "i", "n", ...
+    with pytest.raises(ParameterError, match="sequence of family names, got the string 'linear'"):
+        oracle.gradient_check_report("linear", n_draws=1)
+
+
 def _finite_diff_one_coordinate_at_a_time(f, theta, h):
     """Reference: central differences as a loop with one scalar call per probe."""
     theta = np.asarray(theta, dtype=np.float64)

@@ -96,6 +96,12 @@ class TestConfigValidation:
         with pytest.raises(ParameterError, match="length-6"):
             train(TrainerConfig(method="fl", eps=[0.1, 0.2]), models.LinearModel(1), _line_dataset())
 
+    def test_test_set_of_another_task_rejected(self):
+        test_ds = data.Dataset(features=np.zeros((2, 1)), targets=np.array([0, 1]), ids=np.arange(2),
+                               task=data.CLASSIFICATION)
+        with pytest.raises(ParameterError, match="train and test datasets must share a task"):
+            train(TrainerConfig(method="erm", epochs=1), models.LinearModel(1), _line_dataset(), test_ds)
+
 
 class TestFixedPoints:
     @pytest.mark.parametrize("optimizer", ["sgd", "adamw"])
@@ -956,6 +962,21 @@ class TestAbortPathsUnderWarningsAsErrors:
             record = self._train(cfg, model, ds)
         assert record.abort_reason == "non-finite predictions for samples [1]"
         assert record.abort == {"epoch": 0, "step": 0, "ids": [1]}
+
+    def test_non_finite_parameters_after_a_primal_step(self, tmp_path):
+        # the first sgd step takes theta from 0 to -1e308 * 2 * (0 - 1) = inf
+        ds = data.Dataset(features=np.ones((3, 1)), targets=np.ones(3), ids=np.arange(3),
+                          task=data.REGRESSION)
+        cfg = TrainerConfig(method="erm", eta_theta=1e308, primal_optimizer="sgd", epochs=3, seed=0)
+        record = self._train(cfg, models.LinearModel(1), ds)
+        assert record.status == "aborted"
+        assert record.abort_reason == "parameters became non-finite after primal step"
+        assert record.abort == {"epoch": 0, "step": 0, "ids": []}
+        assert record.trajectory == [] and record.train_losses is None
+        trainers.save_run(record, tmp_path / "r")
+        back = trainers.load_run(tmp_path / "r")
+        assert (back.status, back.abort_reason) == (record.status, record.abort_reason)
+        assert back.meta["abort"] == {"epoch": 0, "step": 0, "ids": []}
 
     def test_raising_train_restores_the_error_state(self):
         ds = data.Dataset(features=np.zeros((4, 2)), targets=[0, 1, 2, 1], ids=np.arange(4),

@@ -11,16 +11,34 @@ run is written with `trainers.save_run`, and each of its files prints as
     <sha256>  <run>/<file>
 
 `meta.json` is hashed without `wall_clock_s` and `phase_s`, the only bytes
-that differ between two identical runs. Last comes the report file that the
-checkout's own `cli.verify("all", report_path=...)` writes, the file of
+that differ between two identical runs. Then `cli.run_experiment` runs every
+template on seeds 0 and 1 under the same --epochs cap, through the seed pool
+as `feaslearn run` does. Each seed file prints as above, and `summary.json`
+prints hashed without the per-seed and aggregate `wall_clock_s` and without
+the `output_dir` fields, as
+
+    <sha256>  run-<template>/seed_<s>/<file>
+    <sha256>  run-<template>/summary.json
+
+Two more runs fail on seed 1 and print their error and the files left in
+their output directory: one fails after writing that seed's directory, in a
+new output directory; the other fails before writing it, when rerun over
+the two-seed run of `noisy_cosine_fl`, whose earlier `seed_1/` must stay:
+
+    run-failing_seed: <error>; left: <files>
+    run-failing_rerun: <error>; left: <files>
+
+Last comes the report file that the checkout's own
+`cli.verify("all", report_path=...)` writes, the file of
 `feaslearn verify all --report`, as
 
     <sha256>  verify_all/report.json
 
 So two checkouts train the same bits, abort with the same reasons and ids,
-and verify to the same report, when the outputs do not differ. Run one copy
-of this tool, the newer one, against both checkouts, so that both outputs
-list the same runs:
+write the same experiment summaries, clean up the same way after a failing
+seed, and verify to the same report, when the outputs do not differ. Run
+one copy of this tool, the newer one, against both checkouts, so that both
+outputs list the same runs:
 
     python3 tools/run_digests.py PARENT > parent.txt
     python3 tools/run_digests.py . > change.txt
@@ -103,6 +121,61 @@ def file_digests(run_dir: Path) -> dict:
     return out
 
 
+def summary_digest(path: Path) -> str:
+    summary = json.loads(path.read_bytes())
+    for metrics in summary["per_seed"].values():
+        metrics.pop("wall_clock_s", None)
+    summary["aggregate"].pop("wall_clock_s", None)
+    summary.pop("output_dir")
+    summary["config"].pop("output_dir")
+    return hashlib.sha256(json.dumps(summary, sort_keys=True).encode()).hexdigest()
+
+
+def run_templates(cli, tmp: Path, epochs: int) -> None:
+    """Digest a two-seed `run_experiment` of every template, then the failing-seed runs."""
+    for name, template in sorted(cli.config_templates().items()):
+        trainer = {**template["trainer"], "epochs": min(template["trainer"]["epochs"], epochs)}
+        outdir = tmp / f"run-{name}"
+        cli.run_experiment({**template, "trainer": trainer, "seeds": [0, 1], "output_dir": str(outdir)})
+        for seed in (0, 1):
+            for file, digest in file_digests(outdir / f"seed_{seed}").items():
+                print(f"{digest}  run-{name}/seed_{seed}/{file}")
+        print(f"{summary_digest(outdir / 'summary.json')}  run-{name}/summary.json")
+
+    template = cli.config_templates()["noisy_cosine_fl"]
+    failing_run(cli, "run-failing_seed", "_seed_metrics", lambda record, *_: record.config["seed"] == 1,
+                {**template, "trainer": {**template["trainer"], "epochs": min(epochs, 10)},
+                 "seeds": [0, 1, 2], "output_dir": str(tmp / "run-failing_seed")})
+    trainer = {**template["trainer"], "epochs": min(template["trainer"]["epochs"], epochs)}
+    failing_run(cli, "run-failing_rerun", "build_dataset", lambda seed: seed == 1,
+                {**template, "trainer": trainer, "seeds": [0, 1],
+                 "output_dir": str(tmp / "run-noisy_cosine_fl")})
+
+
+def failing_run(cli, label: str, where: str, fails, config: dict) -> None:
+    """Run ``config`` with ``cli.<where>`` raising on the seeds that ``fails``
+    picks, then print the error and the files left in the output directory."""
+    real = getattr(cli, where)
+
+    def patched(cfg, *args):
+        if fails(*args):
+            raise cli.ConfigError(f"seed 1 fails in {where}")
+        return real(cfg, *args)
+
+    setattr(cli, where, patched)  # forked pool workers inherit it
+    try:
+        cli.run_experiment(config)
+        error = "none"
+    except cli.ConfigError as err:
+        error = f"error: {err}"
+    finally:
+        setattr(cli, where, real)
+    outdir = Path(config["output_dir"])
+    left = (sorted(str(p.relative_to(outdir)) for p in outdir.rglob("*")) if outdir.exists()
+            else "no output dir")
+    print(f"{label}: {error}; left: {left}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkout", type=Path)
@@ -137,6 +210,7 @@ def main(argv=None) -> int:
             trainers.save_run(record, run_dir)
             for file, digest in file_digests(run_dir).items():
                 print(f"{digest}  {name}/{file}")
+        run_templates(cli, Path(tmp), args.epochs)
         report = Path(tmp) / "verify_all.json"
         cli.verify("all", report_path=str(report))
         print(f"{hashlib.sha256(report.read_bytes()).hexdigest()}  verify_all/report.json")
