@@ -248,8 +248,7 @@ def _seed_metrics(cfg: dict, record: tr.RunRecord, model: md.Model,
 
 def _run_seed(cfg: dict, outdir: str, seed: int) -> dict:
     """Train one seed, write ``outdir/seed_<seed>/`` and return the seed's
-    summary metrics. The seed directory is removed again if writing it or
-    computing the metrics fails."""
+    summary metrics."""
     train_ds, test_ds = build_dataset(cfg, seed)
     model = build_model(cfg, train_ds)
     try:
@@ -258,14 +257,8 @@ def _run_seed(cfg: dict, outdir: str, seed: int) -> dict:
     except ParameterError as err:
         raise ConfigError(f"seed {seed}: {err}")
     record.config["experiment"] = {k: cfg[k] for k in ("name", "dataset", "split", "model", "metrics")}
-    seed_dir = os.path.join(outdir, f"seed_{seed}")
-    try:
-        with _writing(outdir):
-            tr.save_run(record, seed_dir)  # creates outdir too
-        return _seed_metrics(cfg, record, model, train_ds, test_ds)
-    except Exception:
-        shutil.rmtree(seed_dir, ignore_errors=True)
-        raise
+    tr.save_run(record, os.path.join(outdir, f"seed_{seed}"))  # creates outdir too
+    return _seed_metrics(cfg, record, model, train_ds, test_ds)
 
 
 PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
@@ -276,8 +269,8 @@ def _die_with_parent(parent_pid: int) -> None:
     SIGKILL as soon as the process that forked it is gone.
 
     Without it, a worker whose parent was killed alone (SIGKILL or SIGTERM to
-    the parent's pid) trains on, writes a seed directory that no summary will
-    name, and then blocks for good on the pool's call queue, which its
+    the parent's pid) trains on, writes a seed directory that no run will
+    publish, and then blocks for good on the pool's call queue, which its
     siblings keep open. Elsewhere a worker is not tied to its parent.
     """
     if not sys.platform.startswith("linux"):
@@ -295,60 +288,51 @@ def _die_with_parent(parent_pid: int) -> None:
 
 
 def _run_seeds(cfg: dict, outdir: str) -> list[dict]:
-    """``_run_seed`` of every seed of ``cfg``, in config order.
+    """``_run_seed`` of every seed of ``cfg``, in config order, staged in
+    ``outdir/.partial-<pid>/`` and moved into ``outdir`` once every seed has
+    succeeded, each replacing an earlier run's ``seed_<s>/``.
 
     More than one seed trains in a pool of ``min(len(seeds), os.cpu_count())``
-    forked processes, each writing its own seed directory; forked workers
-    start with this process's modules imported, so they cost no import time,
-    and on Linux they die with this process (see ``_die_with_parent``).
-    Where fork is not available, in a daemonic process (a multiprocessing
-    pool's worker, which may start no process), or when the bound allows one
-    worker, the seeds run here, one after another.
-
-    When a seed raises, the seeds not yet started are dropped, and this
-    returns only after the started ones have ended. It then removes the
-    directory of every seed that succeeded (a failed seed removed its own if
-    it wrote one), or the output directory if this call made it, and raises
-    the error of the first failing seed in config order: the error a
-    sequential loop meets first.
+    forked processes, which die with this one on Linux (see
+    ``_die_with_parent``). Where fork is not available, in a daemonic process
+    (which may start no process), or with one worker, the seeds run here, one
+    after another. When a seed raises, the seeds not yet started are dropped,
+    the started ones end, and the error of the first failing seed in config
+    order is raised with ``outdir`` as it was.
     """
     import concurrent.futures
     import multiprocessing
 
     seeds = cfg["seeds"]
     made_outdir = not os.path.isdir(outdir)
+    staging = os.path.join(outdir, f".partial-{os.getpid()}")
     workers = min(len(seeds), os.cpu_count() or 1)
-    outcomes = []  # (seed, metrics, error) of each seed that ran, in config order
-    if (workers > 1 and "fork" in multiprocessing.get_all_start_methods()
-            and not multiprocessing.current_process().daemon):
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers, mp_context=multiprocessing.get_context("fork"),
-                initializer=_die_with_parent, initargs=(os.getpid(),)) as pool:
-            futures = [pool.submit(_run_seed, cfg, outdir, seed) for seed in seeds]
-            concurrent.futures.wait(futures, return_when=concurrent.futures.FIRST_EXCEPTION)
-            for future in futures:
-                future.cancel()  # fails, harmlessly, on started seeds
-        for seed, future in zip(seeds, futures):  # leaving the pool waited for every started seed
-            if not future.cancelled():
-                err = future.exception()
-                outcomes.append((seed, future.result() if err is None else None, err))
-    else:
-        for seed in seeds:
-            try:
-                outcomes.append((seed, _run_seed(cfg, outdir, seed), None))
-            except Exception as err:
-                outcomes.append((seed, None, err))
-                break
-    errors = [err for _, _, err in outcomes if err is not None]
-    if errors:
-        if made_outdir:
-            shutil.rmtree(outdir, ignore_errors=True)
-        else:
-            for seed, _, err in outcomes:
-                if err is None:
-                    shutil.rmtree(os.path.join(outdir, f"seed_{seed}"), ignore_errors=True)
-        raise errors[0]
-    return [metrics for _, metrics, _ in outcomes]
+    try:
+        with _writing(outdir):
+            if (workers > 1 and "fork" in multiprocessing.get_all_start_methods()
+                    and not multiprocessing.current_process().daemon):
+                with concurrent.futures.ProcessPoolExecutor(
+                        max_workers=workers, mp_context=multiprocessing.get_context("fork"),
+                        initializer=_die_with_parent, initargs=(os.getpid(),)) as pool:
+                    futures = [pool.submit(_run_seed, cfg, staging, seed) for seed in seeds]
+                    concurrent.futures.wait(futures, return_when=concurrent.futures.FIRST_EXCEPTION)
+                    for future in futures:
+                        future.cancel()  # fails, harmlessly, on started seeds
+                # seeds start in config order, so none before a failing one was cancelled
+                per_seed = [future.result() for future in futures]
+            else:
+                per_seed = [_run_seed(cfg, staging, seed) for seed in seeds]
+            for seed in seeds:  # each rename is atomic, so no seed_<s>/ is ever half there
+                staged = os.path.join(staging, f"seed_{seed}")
+                published = os.path.join(outdir, f"seed_{seed}")
+                if os.path.lexists(published):  # an earlier run's, removed with the staging directory
+                    os.rename(published, staged + ".earlier")
+                os.rename(staged, published)
+            shutil.rmtree(staging)
+    except BaseException:
+        shutil.rmtree(outdir if made_outdir else staging, ignore_errors=True)
+        raise
+    return per_seed
 
 
 def run_experiment(config, output_root: str | None = None) -> dict:
@@ -356,14 +340,10 @@ def run_experiment(config, output_root: str | None = None) -> dict:
 
     Returns the aggregate summary (also written to summary.json in the
     experiment output directory). Aborted runs keep their partial artifacts
-    and are flagged in the summary.
-
-    The seeds train in parallel, in at most ``min(len(seeds), os.cpu_count())``
-    forked worker processes, each writing its own ``seed_<s>/``; every
-    seed's files are byte-identical to those of the seed run alone, apart
-    from the wall-clock values in ``meta.json``. An error on any seed raises
-    the error of the first failing seed in config order and leaves no seed
-    directory this call wrote, nor the output directory if this call made it.
+    and are flagged in the summary. Each seed's files are byte-identical to
+    those of the seed run alone, apart from the wall-clock values in
+    ``meta.json``. An error on any seed raises the error of the first failing
+    seed in config order and leaves the output directory as it was.
     """
     cfg = load_config(config)
     outdir = _resolve_output_dir(cfg, output_root)

@@ -327,10 +327,7 @@ def per_sample_loss(kind: str, predictions, targets, ids=None) -> np.ndarray:
         targets = np.asarray(targets, dtype=np.int64)
         if predictions.ndim < 2 or targets.shape != predictions.shape[-2:-1]:
             raise ShapeError("cross_entropy expects (n, C) logits and (n,) labels")
-        beyond = targets >= predictions.shape[-1]
-        if beyond.any():
-            raise ParameterError(f"samples {named_rows(beyond, ids)} have class labels at or "
-                                 f"above the model's output width {predictions.shape[-1]}")
+        _check_labels(targets, predictions.shape[-1], ids)
     else:
         raise ParameterError(f"unknown loss kind {kind!r}")
     bad = ~np.isfinite(predictions)
@@ -347,13 +344,22 @@ def per_sample_loss(kind: str, predictions, targets, ids=None) -> np.ndarray:
     return out
 
 
+def _check_labels(targets: np.ndarray, width: int, ids) -> None:
+    """Int64 class labels outside [0, width) raise a ParameterError naming their
+    samples (as unsigned, a negative label is past any width)."""
+    outside = targets.view(np.uint64) >= width
+    if outside.any():
+        raise ParameterError(f"samples {named_rows(outside, ids)} have class labels outside "
+                             f"[0, {width}) for the model's output width {width}")
+
+
 def loss_kernel(kind: str, predictions, targets) -> np.ndarray:
     """The formula of :func:`per_sample_loss` alone, without its checks.
 
     Takes float64 predictions and a Dataset's targets (float64 values or
     int64 labels) of matching shapes, and leaves floating-point warnings to
     the caller's error state. A class label at or above the output width
-    raises IndexError.
+    raises IndexError; a negative one indexes from the end.
     """
     if kind == SQUARED_ERROR:
         return (predictions - targets) ** 2
@@ -397,8 +403,9 @@ def weighted_grad(model: Model, cache, preds, targets, weights, kind: str) -> np
 def weighted_loss_grad(model: Model, theta, batch, weights, kind: str) -> np.ndarray:
     """Gradient of sum_i weights_i * loss_i(theta) in one forward/backward pass.
 
-    ``batch`` is any object with raw .features and .targets. Weights must be
-    non-negative; the result is linear in them.
+    ``batch`` is any object with raw .features and .targets; errors name its
+    samples by its .ids, if it has them. Weights must be non-negative; the
+    result is linear in them.
     """
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (len(batch.targets),):
@@ -406,6 +413,9 @@ def weighted_loss_grad(model: Model, theta, batch, weights, kind: str) -> np.nda
     if (weights < 0).any():
         raise ParameterError("weights must be non-negative")
     preds, cache = model.forward_cache(theta, model.featurize(batch.features))
+    if kind == CROSS_ENTROPY:
+        _check_labels(np.asarray(batch.targets, dtype=np.int64), preds.shape[-1],
+                      getattr(batch, "ids", None))
     grad = weighted_grad(model, cache, preds, batch.targets, weights, kind)
     if not np.all(np.isfinite(grad)):
         raise NumericError("non-finite entries in weighted loss gradient")

@@ -518,9 +518,15 @@ def load_run(outdir) -> RunRecord:
         raise ValueError("config.json is not a trainer config: it has no 'method'")
     if not isinstance(meta, dict) or set(meta) != set(_META_FIELDS):
         raise ValueError(f"meta.json must hold exactly the fields {list(_META_FIELDS)}")
+    header, width = ",".join(TRAJECTORY_COLUMNS), len(TRAJECTORY_COLUMNS)
     with open(os.path.join(outdir, "trajectory.csv")) as fh:
-        fh.readline()  # the header, TRAJECTORY_COLUMNS
-        trajectory = [dict(zip(TRAJECTORY_COLUMNS, map(float, line.split(",")))) for line in fh]
+        if fh.readline() != header + "\n":
+            raise ValueError(f"trajectory.csv must start with the header {header}")
+        has_rows = os.fstat(fh.fileno()).st_size > len(header) + 1  # np.loadtxt warns on none
+        rows = np.loadtxt(fh, delimiter=",", ndmin=2) if has_rows else np.zeros((0, width))
+    if rows.shape[1] != width:  # np.loadtxt itself raises on rows of unequal width
+        raise ValueError(f"trajectory.csv rows must have {width} columns")
+    trajectory = [dict(zip(TRAJECTORY_COLUMNS, row)) for row in map(np.ndarray.tolist, rows)]
     for row in trajectory:
         row["epoch"] = int(row["epoch"])
     lam = _read_loss_csv(os.path.join(outdir, "multipliers.csv"))

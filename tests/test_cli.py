@@ -586,34 +586,41 @@ class TestParallelSeeds:
 
     @pytest.mark.parametrize("failing", [{1}, {0, 1, 2}], ids=["seed1", "every_seed"])
     @pytest.mark.parametrize("pooled", [True, False], ids=["pool", "in_process"])
-    def test_seed_failing_before_its_write_keeps_an_earlier_runs_seed_dir(self, tmp_path, monkeypatch,
-                                                                          failing, pooled):
+    @pytest.mark.parametrize("where", ["build_dataset", "_seed_metrics"])  # before or after save_run
+    def test_failing_rerun_leaves_an_earlier_run_byte_identical(self, tmp_path, monkeypatch,
+                                                                failing, pooled, where):
         def files():
             root = tmp_path / "tiny_fl"
-            return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+            return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+                    for p in root.rglob("*")}
 
         cfg = _tiny_config(tmp_path, seeds=(0, 1, 2))
         cli.run_experiment(cfg)
         earlier = files()
-        real = cli.build_dataset
+        real = getattr(cli, where)
 
-        def fails_on_some_seeds(cfg, seed):  # forked workers inherit the patch
+        def fails_on_some_seeds(cfg, *args):  # forked workers inherit the patch
+            seed = args[0].config["seed"] if where == "_seed_metrics" else args[0]
             if seed in failing:
                 raise ConfigError(f"no data for seed {seed}")
-            return real(cfg, seed)
+            return real(cfg, *args)
 
-        monkeypatch.setattr(cli, "build_dataset", fails_on_some_seeds)
+        monkeypatch.setattr(cli, where, fails_on_some_seeds)
         if not pooled:
             monkeypatch.setattr(os, "cpu_count", lambda: 1)
         with pytest.raises(ConfigError, match=f"no data for seed {min(failing)}"):
             cli.run_experiment(cfg)
-        now = files()
-        # a failing seed wrote nothing, so the earlier run's files of it stay as they were
-        kept = {p: b for p, b in earlier.items()
-                if p.split(os.sep)[0] in {"summary.json", *(f"seed_{s}" for s in failing)}}
-        assert {p: now.get(p) for p in kept} == kept
-        if failing == {0, 1, 2}:
-            assert now == earlier
+        assert files() == earlier  # every file and directory, byte for byte
+
+    def test_rerun_replaces_each_seed_dir_whole(self, tmp_path):
+        cfg = _tiny_config(tmp_path, seeds=(0, 1))
+        cli.run_experiment(cfg)
+        first = self._seed_files(tmp_path / "tiny_fl" / "seed_0")
+        (tmp_path / "tiny_fl" / "seed_0" / "notes.txt").write_text("gone\n")
+        (tmp_path / "tiny_fl" / "notes.txt").write_text("kept\n")
+        cli.run_experiment(cfg)
+        assert sorted(os.listdir(tmp_path / "tiny_fl")) == ["notes.txt", "seed_0", "seed_1", "summary.json"]
+        assert self._seed_files(tmp_path / "tiny_fl" / "seed_0") == first
 
     def test_daemonic_caller_runs_its_seeds_in_process(self, tmp_path):
         # a multiprocessing pool's worker is daemonic and may not start processes of its own
@@ -699,6 +706,8 @@ class TestParallelSeeds:
             while any(alive(pid) for pid in pids) and time.monotonic() < deadline:
                 time.sleep(0.05)
             assert not any(alive(pid) for pid in pids)
+            # a killed run publishes no seed directory
+            assert not [p.name for p in (tmp_path / "tiny_fl").glob("seed_*")]
         finally:
             parent.kill()
             parent.wait(timeout=30)
@@ -791,8 +800,13 @@ class TestCompare:
         ("meta.json", lambda raw: b"{}"),
         ("config.json", lambda raw: json.dumps({k: v for k, v in json.loads(raw).items()
                                                 if k != "method"}).encode()),
+        # the last column dropped from the header, from the first row, or from every row
+        ("trajectory.csv", lambda raw: re.sub(rb",[^,\n]*\n", b"\n", raw, count=1)),
+        ("trajectory.csv", lambda raw: re.sub(rb"\n([^\n]*),[^,\n]*(?=\n)", rb"\n\1", raw, count=1)),
+        ("trajectory.csv", lambda raw: re.sub(rb"\n([^\n]*),[^,\n]*(?=\n)", rb"\n\1", raw)),
     ], ids=["truncated_meta", "truncated_config", "non_numeric_trajectory_cell", "short_checkpoint",
-            "empty_meta_object", "config_without_method"])
+            "empty_meta_object", "config_without_method", "short_trajectory_header", "short_trajectory_row",
+            "short_trajectory_rows"])
     def test_corrupt_run_dir_exits_two_naming_it(self, tmp_path, capsys, name, corrupt):
         cfg = _tiny_config(tmp_path, seeds=(0,))
         cli.run_experiment(cfg)

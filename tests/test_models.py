@@ -137,6 +137,12 @@ class TestPerSampleLoss:
         with pytest.raises(ParameterError):
             models.per_sample_loss("hinge", np.zeros(1), np.zeros(1))
 
+    @pytest.mark.parametrize("label", [-1, 2, 7])
+    def test_class_label_outside_the_output_width_names_its_sample(self, label):
+        # indexing alone would score label -1 as the last class
+        with pytest.raises(ParameterError, match=r"samples \[11\] have class labels outside \[0, 2\)"):
+            models.per_sample_loss(models.CROSS_ENTROPY, [[0.0, 5.0]] * 2, [1, label], np.array([10, 11]))
+
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(-30, 30), min_size=2, max_size=6), st.integers(0, 5))
     def test_cross_entropy_nonnegative(self, logits, label):
@@ -302,6 +308,13 @@ class TestWeightedLossGrad:
         with pytest.raises(ParameterError):
             models.weighted_loss_grad(model, np.zeros(1), batch, np.array([1.0, -0.1]),
                                       models.SQUARED_ERROR)
+
+    @pytest.mark.parametrize("label", [-1, 2])
+    def test_rejects_class_labels_outside_the_output_width(self, label):
+        model = models.MLP((2, 2))
+        batch = Batch(np.array([4, 9]), np.ones((2, 2)), np.array([0, label]))
+        with pytest.raises(ParameterError, match=r"samples \[9\] have class labels outside \[0, 2\)"):
+            models.weighted_loss_grad(model, model.init_params(0), batch, np.ones(2), models.CROSS_ENTROPY)
 
     @pytest.mark.parametrize("x,weights,error,message", [
         (1.0, [1.0, 1.0, 1.0], ShapeError, "weights must have one entry per batch sample"),

@@ -22,8 +22,9 @@ the `output_dir` fields, as
 
 Two more runs fail on seed 1 and print their error and the files left in
 their output directory: one fails after writing that seed's directory, in a
-new output directory; the other fails before writing it, when rerun over
-the two-seed run of `noisy_cosine_fl`, whose earlier `seed_1/` must stay:
+new output directory, which must not be left; the other fails before
+writing it, when rerun over the two-seed run of `noisy_cosine_fl`, whose
+earlier `seed_0/`, `seed_1/` and `summary.json` must all stay:
 
     run-failing_seed: <error>; left: <files>
     run-failing_rerun: <error>; left: <files>
