@@ -282,9 +282,10 @@ def batch_iter(dataset: Dataset | Batch, batch_size: int, epoch_seed: int,
     The union of batches over one epoch is exactly the full id set; the last
     batch may be smaller. The order depends on ``epoch_seed`` alone; ``rng``
     is a generator from :func:`epoch_rng` to re-key instead of building one.
-    A full batch (``batch_size == n``) is the rows as they are (in id order
-    for generated and split datasets), without a copy and without a draw from
-    the RNG: a permutation would only change the order of the sums.
+    A Dataset's rows are in id order, so each of its batches' ids are also
+    their row positions. A full batch (``batch_size == n``) is the rows as
+    they are, without a copy and without a draw from the RNG: a permutation
+    would only change the order of the sums.
     """
     n = len(dataset.ids)
     if batch_size < 1 or batch_size > n:

@@ -87,6 +87,9 @@ class Model:
 
     ``forward_cache`` takes what the fixed map ``featurize`` (by default the
     identity) returns; ``forward`` and :func:`weighted_loss_grad` take raw inputs.
+    ``cache_rows(cache, rows, features)`` is the cache of a forward over
+    ``features``, rows ``rows`` of the forward that made ``cache``, taken from
+    that cache (by default the cache of a forward is its features).
     ``forward_cache`` may write into a caller's :class:`Workspace`; ``forward``
     passes none, so its result is the caller's alone.
     """
@@ -105,6 +108,9 @@ class Model:
 
     def forward_cache(self, theta, features, workspace: Workspace | None = None):
         raise NotImplementedError
+
+    def cache_rows(self, cache, rows, features):
+        return features
 
     def backward(self, cache, grad_pred):
         raise NotImplementedError
@@ -257,6 +263,15 @@ class MLP(Model):
         preds = out[..., 0] if self.task == _data.REGRESSION else out
         return preds, (weights, activations, workspace)
 
+    def cache_rows(self, cache, rows, features):
+        """Copies each hidden layer's rows into buffers of the cache's workspace
+        that no forward writes; ``backward`` reads no output layer."""
+        weights, activations, workspace = cache
+        # mode="raise" would copy through a temporary; every position is valid.
+        hidden = [np.take(a, rows, axis=0, mode="clip", out=_buffer(workspace, ("rows", i), len(rows), a.shape[1]))
+                  for i, a in enumerate(activations[1:-1], 1)]
+        return weights, [features, *hidden], workspace
+
     def backward(self, cache, grad_pred):
         """Gradient of sum(grad_pred * predictions) over a single theta, as a
         fresh flat vector.
@@ -353,8 +368,9 @@ def _check_labels(targets: np.ndarray, width: int, ids) -> None:
                              f"[0, {width}) for the model's output width {width}")
 
 
-def loss_kernel(kind: str, predictions, targets) -> np.ndarray:
-    """The formula of :func:`per_sample_loss` alone, without its checks.
+def loss_kernel(kind: str, predictions, targets, grad: bool = False):
+    """The formula of :func:`per_sample_loss` alone, without its checks; with
+    ``grad``, the pair (losses, :func:`loss_grad` of unstacked predictions).
 
     Takes float64 predictions and a Dataset's targets (float64 values or
     int64 labels) of matching shapes, and leaves floating-point warnings to
@@ -362,10 +378,18 @@ def loss_kernel(kind: str, predictions, targets) -> np.ndarray:
     raises IndexError; a negative one indexes from the end.
     """
     if kind == SQUARED_ERROR:
-        return (predictions - targets) ** 2
+        diff = predictions - targets
+        return (diff ** 2, 2.0 * diff) if grad else diff ** 2
+    idx = np.arange(len(targets))
     zmax = predictions.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(predictions - zmax).sum(axis=-1)) + zmax[..., 0]
-    return lse - predictions[..., np.arange(len(targets)), targets]
+    expz = np.exp(predictions - zmax)
+    total = expz.sum(axis=-1, keepdims=True)
+    losses = np.log(total[..., 0]) + zmax[..., 0] - predictions[..., idx, targets]
+    if not grad:
+        return losses
+    expz /= total  # the softmax, less one at the true class
+    expz[idx, targets] -= 1.0
+    return losses, expz
 
 
 def _per_sample(mask) -> np.ndarray:
@@ -375,27 +399,19 @@ def _per_sample(mask) -> np.ndarray:
 
 def loss_grad(kind: str, predictions, targets) -> np.ndarray:
     """Gradient of each per-sample loss with respect to its own prediction."""
-    predictions = np.asarray(predictions, dtype=np.float64)
-    if kind == SQUARED_ERROR:
-        return 2.0 * (predictions - np.asarray(targets, dtype=np.float64))
-    if kind == CROSS_ENTROPY:
-        targets = np.asarray(targets, dtype=np.int64)
-        zmax = predictions.max(axis=1, keepdims=True)
-        expz = np.exp(predictions - zmax)
-        probs = expz / expz.sum(axis=1, keepdims=True)
-        probs[np.arange(len(targets)), targets] -= 1.0
-        return probs
-    raise ParameterError(f"unknown loss kind {kind!r}")
+    if kind not in (SQUARED_ERROR, CROSS_ENTROPY):
+        raise ParameterError(f"unknown loss kind {kind!r}")
+    targets = np.asarray(targets, dtype=np.float64 if kind == SQUARED_ERROR else np.int64)
+    return loss_kernel(kind, np.asarray(predictions, dtype=np.float64), targets, grad=True)[1]
 
 
-def weighted_grad(model: Model, cache, preds, targets, weights, kind: str) -> np.ndarray:
+def weighted_grad(model: Model, cache, dpred, weights) -> np.ndarray:
     """The backward half of a step: gradient of sum_i weights_i * loss_i at the
-    forward pass that returned ``preds`` and ``cache``.
+    forward pass that returned ``cache`` and the loss gradient ``dpred``.
 
     The training step and :func:`weighted_loss_grad` both run it; it checks
     nothing itself.
     """
-    dpred = loss_grad(kind, preds, targets)
     scaled = weights * dpred if dpred.ndim == 1 else weights[:, None] * dpred
     return model.backward(cache, scaled)
 
@@ -416,7 +432,7 @@ def weighted_loss_grad(model: Model, theta, batch, weights, kind: str) -> np.nda
     if kind == CROSS_ENTROPY:
         _check_labels(np.asarray(batch.targets, dtype=np.int64), preds.shape[-1],
                       getattr(batch, "ids", None))
-    grad = weighted_grad(model, cache, preds, batch.targets, weights, kind)
+    grad = weighted_grad(model, cache, loss_grad(kind, preds, batch.targets), weights)
     if not np.all(np.isfinite(grad)):
         raise NumericError("non-finite entries in weighted loss gradient")
     return grad

@@ -225,29 +225,32 @@ def _accuracy(preds, targets, kind) -> float:
     return math.nan
 
 
-def _forward(model, theta, rows: Batch, kind, workspace: models.Workspace | None = None):
-    """(preds, cache, per-sample losses) of one forward pass over ``rows``.
+def _forward(model, theta, rows: Batch, kind, workspace: models.Workspace | None = None, grad=False):
+    """(preds, cache, per-sample losses, loss gradient if ``grad`` else None)
+    of one forward pass over ``rows``.
 
     preds and cache live in ``workspace`` until its next forward pass. The
-    losses come from ``loss_kernel``, checked only for what theta can change:
-    finite losses, and for cross-entropy finite logits (a -inf logit can give
-    a finite loss). A label beyond the output width fails the kernel's
-    indexing. On any failure the checked ``per_sample_loss`` runs on the same
-    arrays and raises its error, naming the samples.
+    losses (and gradient) come from one ``loss_kernel`` call, the losses
+    checked only for what theta can change: finite losses, and for
+    cross-entropy finite logits (a -inf logit can give a finite loss). A
+    label beyond the output width fails the kernel's indexing. On any failure
+    the checked ``per_sample_loss`` runs on the same arrays and raises its
+    error, naming the samples.
     """
     preds, cache = model.forward_cache(theta, rows.features, workspace)
     try:
-        losses = models.loss_kernel(kind, preds, rows.targets)
+        losses, dpred = (models.loss_kernel(kind, preds, rows.targets, grad=True) if grad
+                         else (models.loss_kernel(kind, preds, rows.targets), None))
     except IndexError:
         losses = None
     if losses is None or not np.isfinite(losses).all() or (
             kind == models.CROSS_ENTROPY and not np.isfinite(preds).all()):
         losses = models.per_sample_loss(kind, preds, rows.targets, rows.ids)
-    return preds, cache, losses
+    return preds, cache, losses, dpred
 
 
 def _eval_split(model, theta, rows: Batch, kind, workspace: models.Workspace | None = None):
-    preds, _, losses = _forward(model, theta, rows, kind, workspace)
+    preds, _, losses, _ = _forward(model, theta, rows, kind, workspace)
     return losses, _accuracy(preds, rows.targets, kind)
 
 
@@ -259,9 +262,11 @@ def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
     exactly the batch samples are updated (fl/rfl), and the primal step uses
     the freshly updated values. Deterministic for fixed config and seed.
     Both splits are featurized once, up front; every step and evaluation
-    then runs the model on rows of the featurized matrices. In full-batch
-    runs, each epoch-end train evaluation but the last is also the next
-    step's forward, so that step runs none of its own.
+    then runs the model on rows of the featurized matrices. Each epoch-end
+    train evaluation but the last is also the forward of the next epoch's
+    first step, which takes its batch's rows of it (all, uncopied, in a full
+    batch). A step's forward also gives its loss gradient. A completed run's
+    final losses are those of its last epoch-end evaluation.
     The passes over each split write into a workspace of that split, made
     here and dropped on return, so steps reuse memory instead of allocating
     it. The test split has its own, so evaluating it never overwrites a
@@ -295,6 +300,7 @@ def _train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
     steps_per_epoch = math.ceil(n / batch_size)
     # erm's weights, per batch length: the last batch of an epoch may be shorter.
     uniform = {m: np.full(m, 1.0 / m) for m in {batch_size, n - (steps_per_epoch - 1) * batch_size}}
+    lam_stats = None  # the lambda columns of a row; constants of erm and cserm, whose lambda stays 0
     sat_bound = eps + fs.SAT_TOL
     total_steps = max(config.epochs * steps_per_epoch, 1)
     train_rows = _featurized(model, train_ds)
@@ -308,8 +314,8 @@ def _train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
     step_idx = 0
     clock = time.perf_counter
     t_forward = t_dual = t_backward = t_step = t_eval = 0.0
-    # (preds, cache, losses) of a full-batch epoch-end train forward: the next
-    # step runs at the same theta on the same rows, so it is that step's forward.
+    # _forward of an epoch-end train forward, at the next step's theta and over
+    # all rows (a batch's ids are its row positions): that step's forward.
     ahead = None
     start = time.perf_counter()
 
@@ -320,9 +326,12 @@ def _train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
             for batch in batch_iter(train_rows, batch_size, epoch_seed, shuffle_rng):
                 t0 = clock()
                 if ahead is not None:
-                    (preds, cache, g), ahead = ahead, None
+                    (_, cache, g, dpred), ahead = ahead, None
+                    if not full_batch:
+                        cache = model.cache_rows(cache, batch.ids, batch.features)
+                        g, dpred = g[batch.ids], dpred[batch.ids]
                 else:
-                    preds, cache, g = _forward(model, theta, batch, kind, train_ws)
+                    _, cache, g, dpred = _forward(model, theta, batch, kind, train_ws, grad=True)
                     passes["forward"] += 1
                 t1 = clock()
                 eps_b = eps if full_batch else eps[batch.ids]
@@ -356,7 +365,7 @@ def _train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
                     weights = uniform[len(batch)]
 
                 t2 = clock()
-                grad = models.weighted_grad(model, cache, preds, batch.targets, weights, kind)
+                grad = models.weighted_grad(model, cache, dpred, weights)
                 passes["backward"] += 1
                 t3 = clock()
                 lr = config.eta_theta
@@ -378,8 +387,8 @@ def _train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
 
         t0 = clock()
         try:
-            if batch_size == n and epoch < config.epochs - 1:
-                ahead = _forward(model, theta, train_rows, kind, train_ws)
+            if epoch < config.epochs - 1:
+                ahead = _forward(model, theta, train_rows, kind, train_ws, grad=True)
                 passes["forward"] += 1
                 t1 = clock()  # the next step's forward, timed as one
                 t_forward += t1 - t0
@@ -395,6 +404,10 @@ def _train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
             break
         # sum / n and count / n are the IEEE operations np.mean performs, so
         # they give its bits without its per-call overhead.
+        if lam_stats is None or config.method in (FL, RFL):
+            lam_stats = {"lam_min": float(lam.min()), "lam_mean": float(lam.sum()) / n,
+                         "lam_max": float(lam.max()),
+                         "lam_frac_zero": int(np.count_nonzero(lam <= fs.ZERO_MULTIPLIER_TOL)) / n}
         row = {
             "epoch": epoch,
             "train_mean_loss": float(train_losses.sum()) / n,
@@ -402,10 +415,7 @@ def _train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
             "train_accuracy": train_acc,
             "sat_fraction": int(np.count_nonzero(train_losses <= sat_bound)) / n,
             "max_step_violation": max_step_violation,
-            "lam_min": float(lam.min()),
-            "lam_mean": float(lam.sum()) / n,
-            "lam_max": float(lam.max()),
-            "lam_frac_zero": int(np.count_nonzero(lam <= fs.ZERO_MULTIPLIER_TOL)) / n,
+            **lam_stats,
             "test_mean_loss": math.nan,
             "test_max_loss": math.nan,
             "test_accuracy": math.nan,
@@ -419,14 +429,17 @@ def _train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
         t_eval += clock() - t0
 
     final_train = final_test = None
-    t0 = clock()
-    try:
-        final_train, _ = _eval_split(model, theta, train_rows, kind, train_ws)
-        if test_rows is not None:
-            final_test, _ = _eval_split(model, theta, test_rows, kind, test_ws)
-    except NumericError:
-        pass  # aborted runs keep whatever is computable
-    t_eval += clock() - t0
+    if abort is None and trajectory:  # the last row was evaluated at the final theta
+        final_train, final_test = train_losses, test_eval[0] if test_eval is not None else None
+    else:
+        t0 = clock()
+        try:
+            final_train, _ = _eval_split(model, theta, train_rows, kind, train_ws)
+            if test_rows is not None:
+                final_test, _ = _eval_split(model, theta, test_rows, kind, test_ws)
+        except NumericError:
+            pass  # aborted runs keep whatever is computable
+        t_eval += clock() - t0
 
     wall = clock() - start
     config_echo = config.echo()
@@ -499,11 +512,16 @@ def save_run(record: RunRecord, outdir) -> None:
 
 
 def _read_loss_csv(path) -> np.ndarray | None:
+    """The values of an ``id,<value>`` file as save_run writes it, None if it
+    has no rows. A row that is not two cells, or whose id is not its row
+    number (ids 0..n-1 in order), raises ValueError, as a non-numeric value does."""
     with open(path) as fh:
-        rows = fh.read().strip().splitlines()[1:]
-    if not rows:
-        return None
-    return np.array([float(r.split(",")[1]) for r in rows])
+        rows = [line.split(",") for line in fh.read().strip().splitlines()[1:]]
+    for i, row in enumerate(rows):
+        if len(row) != 2 or row[0] != str(i):
+            raise ValueError(f"{os.path.basename(path)} line {i + 2} must be '{i},<value>', "
+                             f"got {','.join(row)!r}")
+    return np.array([float(value) for _, value in rows]) if rows else None
 
 
 def load_run(outdir) -> RunRecord:

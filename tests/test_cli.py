@@ -804,9 +804,14 @@ class TestCompare:
         ("trajectory.csv", lambda raw: re.sub(rb",[^,\n]*\n", b"\n", raw, count=1)),
         ("trajectory.csv", lambda raw: re.sub(rb"\n([^\n]*),[^,\n]*(?=\n)", rb"\n\1", raw, count=1)),
         ("trajectory.csv", lambda raw: re.sub(rb"\n([^\n]*),[^,\n]*(?=\n)", rb"\n\1", raw)),
+        # a multiplier row that lost its value or gained a column, and two rows swapped
+        ("multipliers.csv", lambda raw: re.sub(rb"\n1,[^\n]*", b"\n1", raw, count=1)),
+        ("multipliers.csv", lambda raw: re.sub(rb"\n(1,[^\n]*)", rb"\n\1,0.0", raw, count=1)),
+        ("final_losses_train.csv", lambda raw: re.sub(rb"\n(0,[^\n]*)\n(1,[^\n]*)", rb"\n\2\n\1", raw,
+                                                      count=1)),
     ], ids=["truncated_meta", "truncated_config", "non_numeric_trajectory_cell", "short_checkpoint",
             "empty_meta_object", "config_without_method", "short_trajectory_header", "short_trajectory_row",
-            "short_trajectory_rows"])
+            "short_trajectory_rows", "missing_value", "extra_column", "ids_out_of_order"])
     def test_corrupt_run_dir_exits_two_naming_it(self, tmp_path, capsys, name, corrupt):
         cfg = _tiny_config(tmp_path, seeds=(0,))
         cli.run_experiment(cfg)

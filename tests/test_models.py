@@ -164,6 +164,60 @@ class TestPerSampleLoss:
         assert loss[0] == pytest.approx(0.0, abs=1e-12)
 
 
+class TestLossKernelGradient:
+    """A step's losses and loss gradient come from one loss_kernel call."""
+
+    @pytest.mark.parametrize("kind", [models.SQUARED_ERROR, models.CROSS_ENTROPY])
+    @pytest.mark.parametrize("n", [1, 7, 512])
+    def test_fused_pair_is_bit_equal_to_the_loss_and_the_gradient_formula(self, kind, n):
+        rng = np.random.default_rng(n)
+        if kind == models.CROSS_ENTROPY:
+            preds, targets = rng.normal(scale=30.0, size=(n, 3)), rng.integers(0, 3, n)
+            expz = np.exp(preds - preds.max(axis=1, keepdims=True))
+            want_grad = expz / expz.sum(axis=1, keepdims=True)
+            want_grad[np.arange(n), targets] -= 1.0
+        else:
+            preds, targets = rng.normal(size=n), rng.normal(size=n)
+            want_grad = 2.0 * (preds - targets)
+        before = preds.copy()
+        losses, grad = models.loss_kernel(kind, preds, targets, grad=True)
+        assert losses.tobytes() == models.loss_kernel(kind, preds, targets).tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
+        assert models.loss_grad(kind, preds, targets).tobytes() == want_grad.tobytes()
+        assert np.array_equal(preds, before)
+
+
+class TestCacheRows:
+    """A step built from rows of a forward over every row, as the trainer's
+    look-ahead builds the first step of an epoch, against a fresh forward."""
+
+    @pytest.mark.parametrize("family", ["linear", "poly", "mlp"])
+    def test_gradient_matches_a_fresh_forward_and_backward_on_the_batch(self, family):
+        rng = np.random.default_rng(3)
+        n, rows = 1000, rng.permutation(1000)[:512]
+        if family == "mlp":
+            model, kind = models.MLP((2, 70, 70, 2)), models.CROSS_ENTROPY
+            X, y = rng.normal(size=(n, 2)), rng.integers(0, 2, n)
+        else:
+            model = models.LinearModel(3) if family == "linear" else models.PolyModel(8, "chebyshev", (0.0, 1.0))
+            kind = models.SQUARED_ERROR
+            X = model.featurize(rng.uniform(0.0, 1.0, (n, 3 if family == "linear" else 1)))
+            y = rng.normal(size=n)
+        theta, weights = rng.normal(size=model.n_params), rng.uniform(0.0, 1.0, len(rows))
+        ws = models.Workspace()
+        preds, cache = model.forward_cache(theta, X, ws)
+        taken = model.cache_rows(cache, rows, X[rows])
+        dpred = models.loss_grad(kind, preds[rows], y[rows])
+        got = models.weighted_grad(model, taken, dpred, weights)
+        fresh_preds, fresh = model.forward_cache(theta, X[rows])
+        want = models.weighted_grad(model, fresh, models.loss_grad(kind, fresh_preds, y[rows]), weights)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        if family == "mlp":  # the rows are copied into the workspace, apart from the forward's buffers
+            assert all(not np.shares_memory(a, b) for a in taken[1][1:] for b in cache[1])
+        else:  # the cache of a linear forward is its features: the same loss gradient, the same bits
+            assert models.weighted_grad(model, fresh, dpred, weights).tobytes() == got.tobytes()
+
+
 def _reference_mlp(model, theta, X, G):
     """The MLP's forward and backward written with fresh arrays and pre-activation masks."""
     weights, biases = model._unpack(theta)

@@ -259,7 +259,9 @@ class TestStepProtocol:
     @staticmethod
     def _reference_run(cfg, model, ds):
         """(theta, lam) of cfg's run, from a loop over the checked public
-        functions with the optimizers written out of place."""
+        functions with the optimizers written out of place. Each epoch's
+        first step but the first takes its batch's rows of a forward over
+        every row at its theta, the previous epoch-end evaluation."""
         kind, n = models.loss_kind(ds.task), ds.n_samples
         rows = data.Batch(ds.ids, model.featurize(ds.features), ds.targets)
         eps = np.broadcast_to(np.asarray(cfg.eps, dtype=np.float64), (n,))
@@ -270,8 +272,12 @@ class TestStepProtocol:
         buf = m = v = None
         step = 0
         for epoch in range(cfg.epochs):
-            for batch in data.batch_iter(rows, batch_size, data.combine_seed(cfg.seed, epoch)):
-                preds, cache = model.forward_cache(theta, batch.features)
+            for i, batch in enumerate(data.batch_iter(rows, batch_size, data.combine_seed(cfg.seed, epoch))):
+                if epoch and not i:
+                    preds, cache = model.forward_cache(theta, rows.features)
+                    preds, cache = preds[batch.ids], model.cache_rows(cache, batch.ids, batch.features)
+                else:
+                    preds, cache = model.forward_cache(theta, batch.features)
                 g = models.per_sample_loss(kind, preds, batch.targets, batch.ids)
                 eps_b = eps[batch.ids]
                 if cfg.method == "erm":
@@ -283,7 +289,8 @@ class TestStepProtocol:
                                                cfg.eta_lambda, cfg.alpha, batch.ids)
                 if cfg.method in ("fl", "rfl"):
                     lam[batch.ids] = weights
-                grad = models.weighted_grad(model, cache, preds, batch.targets, weights, kind)
+                grad = models.weighted_grad(model, cache, models.loss_grad(kind, preds, batch.targets),
+                                            weights)
                 lr = cfg.eta_theta
                 if cfg.cosine_decay:
                     lr *= 0.5 * (1.0 + math.cos(math.pi * step / total_steps))
@@ -316,8 +323,9 @@ class TestStepProtocol:
             self, method, mini_batch, family, optimizer, weight_decay, cosine_decay,
             analytic_dual, per_sample_eps, n, batch_size, epochs, seed):
         # The trainer runs the loss and dual-update kernels without their
-        # checks, its optimizers update their moments in place, and full-batch
-        # steps index nothing: none of that may move a bit.
+        # checks and its loss gradient with its losses, its optimizers update
+        # their moments in place, and full-batch steps index nothing: none of
+        # that may move a bit.
         rng = np.random.default_rng(seed)
         if family == "mlp":
             ds = data.Dataset(features=rng.normal(size=(n, 2)), targets=rng.integers(0, 3, n),
@@ -443,6 +451,29 @@ class TestCostParity:
         assert counts["erm"] == counts["fl"] == counts["rfl"] == counts["cserm"]
         steps = 4 * 4  # epochs * ceil(60/16)
         assert counts["erm"] == {"forward": steps, "backward": steps}
+
+    @pytest.mark.parametrize("batch_size,epochs", [(16, 4), (16, 1), (20, 3)],
+                             ids=["ragged", "one_epoch", "even"])
+    def test_mini_batch_runs_make_one_forward_per_step_and_no_final_one(self, monkeypatch,
+                                                                        batch_size, epochs):
+        # Each epoch's first step but the first takes its rows of the previous
+        # epoch-end forward, and the final losses are the last evaluation's:
+        # beyond the steps, only each epoch's test and last train evaluation run.
+        train_ds, test_ds = data.split_train_test(data.gen_two_moons(80, 0.1, 0), 0.25, 0)
+        real, calls = models.MLP.forward_cache, []
+
+        def counting(model, *args):
+            calls.append(1)
+            return real(model, *args)
+
+        monkeypatch.setattr(models.MLP, "forward_cache", counting)
+        cfg = TrainerConfig(method="fl", eta_theta=1e-2, eta_lambda=0.1, eps=0.3, batch_size=batch_size,
+                            epochs=epochs, primal_optimizer="adamw", seed=0)
+        record = train(cfg, models.MLP((2, 8, 2)), train_ds, test_ds)
+        steps = epochs * math.ceil(train_ds.n_samples / batch_size)
+        assert record.status == "completed"
+        assert record.train_pass_counts == {"forward": steps, "backward": steps}
+        assert len(calls) == steps + 1 + epochs
 
     def test_shared_step_reaches_trainer_and_gradient_oracle(self, monkeypatch):
         # train() and weighted_loss_grad take their backward pass through

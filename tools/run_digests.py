@@ -5,7 +5,8 @@
 Imports feaslearn from CHECKOUT/src, with BLAS pinned to one thread. Trains
 seed 0 of every `feaslearn gen-config` template, for at most --epochs epochs,
 under each trainer setting in SETTINGS (and with the closed-form dual for the
-rfl templates), then the runs of `aborts()`, which end in an abort record. Each
+rfl templates), so every model family runs full-batch and mini-batch to
+completion, then the runs of `aborts()`, which end in an abort record. Each
 run is written with `trainers.save_run`, and each of its files prints as
 
     <sha256>  <run>/<file>
@@ -69,6 +70,8 @@ SETTINGS = {
     "momentum_wd_cosine": {"primal_optimizer": "sgd_momentum", "momentum": 0.8,
                            "weight_decay": 1e-3, "cosine_decay": True},
     "adamw_wd_cosine": {"primal_optimizer": "adamw", "weight_decay": 1e-2, "cosine_decay": True},
+    # every template's train split has more than 7 rows and a ragged last batch
+    "mini_batch": {"batch_size": 7},
 }
 
 
