@@ -364,9 +364,7 @@ def run_experiment(config, output_root: str | None = None) -> dict:
         "any_aborted": any(m["status"] != "completed" for m in per_seed.values()),
         "output_dir": outdir,
     }
-    with open(os.path.join(outdir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    tr.write_json(os.path.join(outdir, "summary.json"), summary)
     return summary
 
 
@@ -487,9 +485,7 @@ def compare(run_dirs, quantiles=None, out_dir="comparison", svg: bool = False) -
             fh.write(",".join(str(row.get(c, "")) for c in cols) + "\n")
     report = {"quantiles": quantiles, "table": table, "out_dir": out_dir,
               "methods": sorted(groups), "n_runs": len(runs)}
-    with open(os.path.join(out_dir, "comparison.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    tr.write_json(os.path.join(out_dir, "comparison.json"), report)
     if svg:
         for split, by_label in curves.items():
             for kind in ("cdf", "cvar"):
@@ -513,9 +509,8 @@ def verify(suite: str = "all", report_path: str | None = None) -> dict:
         checks.append(oracle.gradient_check_report())
     report = {"suite": suite, "passed": all(c["passed"] for c in checks), "checks": checks}
     if report_path:
-        with _writing(report_path), open(report_path, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        with _writing(report_path):
+            tr.write_json(report_path, report)
     return report
 
 

@@ -6,7 +6,8 @@ applied to the loss gradients:
 
   erm    uniform 1/|B|
   fl     multipliers after a projected ascent update (dual step first)
-  rfl    multipliers after an ascent-with-decay update (dual step first)
+  rfl    multipliers after an ascent-with-decay update (dual step first),
+         or with analytic_dual the multipliers set to cserm's weights
   cserm  alpha * [g - eps]_+ computed directly from the batch losses
 
 Multipliers of samples absent from a batch are untouched by that step. The
@@ -137,10 +138,6 @@ class RunRecord:
     abort: dict | None = None  # {"epoch", "step", "ids"} of an aborted run
 
     @property
-    def aborted(self) -> bool:
-        return self.status != "completed"
-
-    @property
     def meta(self) -> dict:
         """The fields that ``meta.json`` holds."""
         return {name: getattr(self, name) for name in _META_FIELDS}
@@ -181,11 +178,9 @@ class _AdamW:
     m = beta1 * m + (1 - beta1) * g and v = beta2 * v + (1 - beta2) * g * g.
     """
 
-    def __init__(self, weight_decay: float = 0.0, beta1: float = ADAMW_DEFAULTS["beta1"],
-                 beta2: float = ADAMW_DEFAULTS["beta2"],
-                 stabilizer: float = ADAMW_DEFAULTS["stabilizer"]):
+    def __init__(self, weight_decay: float = 0.0):
         self.weight_decay = weight_decay
-        self.beta1, self.beta2, self.stabilizer = beta1, beta2, stabilizer
+        self.beta1, self.beta2, self.stabilizer = (ADAMW_DEFAULTS[k] for k in ("beta1", "beta2", "stabilizer"))
         self.m = None
         self.v = None
         self.t = 0
@@ -227,15 +222,10 @@ def _accuracy(preds, targets, kind) -> float:
 
 def _forward(model, theta, rows: Batch, kind, workspace: models.Workspace | None = None, grad=False):
     """(preds, cache, per-sample losses, loss gradient if ``grad`` else None)
-    of one forward pass over ``rows``.
-
-    preds and cache live in ``workspace`` until its next forward pass. The
-    losses (and gradient) come from one ``loss_kernel`` call, the losses
-    checked only for what theta can change: finite losses, and for
-    cross-entropy finite logits (a -inf logit can give a finite loss). A
-    label beyond the output width fails the kernel's indexing. On any failure
-    the checked ``per_sample_loss`` runs on the same arrays and raises its
-    error, naming the samples.
+    of one forward pass over ``rows``; preds and cache live in ``workspace``
+    until its next forward pass. Non-finite losses, non-finite cross-entropy
+    logits and a label beyond the output width raise the error of the checked
+    ``per_sample_loss``, which names the samples.
     """
     preds, cache = model.forward_cache(theta, rows.features, workspace)
     try:
@@ -256,27 +246,16 @@ def _eval_split(model, theta, rows: Batch, kind, workspace: models.Workspace | N
 
 def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
           test_ds: Dataset | None = None) -> RunRecord:
-    """Run the full epoch budget of the configured method.
+    """Run the full epoch budget of the configured method; deterministic for
+    fixed config and seed.
 
-    Within every step the batch losses are computed once, the multipliers of
-    exactly the batch samples are updated (fl/rfl), and the primal step uses
-    the freshly updated values. Deterministic for fixed config and seed.
-    Both splits are featurized once, up front; every step and evaluation
-    then runs the model on rows of the featurized matrices. Each epoch-end
-    train evaluation but the last is also the forward of the next epoch's
-    first step, which takes its batch's rows of it (all, uncopied, in a full
-    batch). A step's forward also gives its loss gradient. A completed run's
-    final losses are those of its last epoch-end evaluation.
-    The passes over each split write into a workspace of that split, made
-    here and dropped on return, so steps reuse memory instead of allocating
-    it. The test split has its own, so evaluating it never overwrites a
-    pending train forward.
-    Runs abort (status "aborted", reason recorded) on non-finite losses or
-    parameters, or when any multiplier exceeds the blow-up threshold.
-    A step checks only the results of the loss and dual-update kernels; what
-    cannot change between steps is checked once, by TrainerConfig and the
-    datasets. The run ignores overflow and invalid warnings in one error
-    state, restored on return, since every non-finite result aborts it.
+    Each step makes one forward and one backward pass and updates the
+    multipliers of exactly its batch's samples (fl/rfl) before its primal
+    step, which uses the updated values. A completed run's final losses are
+    those of its last epoch-end evaluation. Runs abort (status "aborted",
+    reason and ids recorded) on non-finite losses or parameters, or when any
+    multiplier exceeds the blow-up threshold. NumPy's overflow and invalid
+    warnings are silenced for the call: every non-finite result aborts it.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         return _train(config, model, train_ds, test_ds)
@@ -332,37 +311,34 @@ def _train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
                         g, dpred = g[batch.ids], dpred[batch.ids]
                 else:
                     _, cache, g, dpred = _forward(model, theta, batch, kind, train_ws, grad=True)
-                    passes["forward"] += 1
+                passes["forward"] += 1
                 t1 = clock()
                 eps_b = eps if full_batch else eps[batch.ids]
                 v = fs.violations(g, eps_b)
                 max_step_violation = max(max_step_violation, float(v.max()))
 
+                if config.method == ERM:
+                    weights = uniform[len(batch)]
+                elif config.method == CSERM or config.analytic_dual:
+                    weights = fs.analytic_dual_opt(g, eps_b, config.alpha)
+                else:
+                    lam_b = lam if full_batch else lam[batch.ids]
+                    weights = fs.dual_ascent(lam_b, v, config.eta_lambda, config.alpha)
                 if config.method in (FL, RFL):
-                    if config.analytic_dual:
-                        lam_new = fs.analytic_dual_opt(g, eps_b, config.alpha)
-                    else:
-                        lam_b = lam if full_batch else lam[batch.ids]
-                        lam_new = fs.dual_ascent(lam_b, v, config.eta_lambda, config.alpha)
                     # One reduction for both checks: NaN fails the comparison, +inf exceeds.
-                    blown_up = not lam_new.max() <= fs.BLOWUP_THRESHOLD
+                    blown_up = not weights.max() <= fs.BLOWUP_THRESHOLD
                     if blown_up and not config.analytic_dual:
                         # raises on a non-finite multiplier, naming its samples
                         fs.dual_step_rfl(lam_b, v, config.eta_lambda, config.alpha, batch.ids)
                     if full_batch:
-                        lam = lam_new
+                        lam = weights
                     else:
-                        lam[batch.ids] = lam_new
+                        lam[batch.ids] = weights
                     if blown_up:
-                        blown = batch.ids[lam_new > fs.BLOWUP_THRESHOLD]
+                        blown = batch.ids[weights > fs.BLOWUP_THRESHOLD]
                         raise NumericError(
                             f"dual blow-up: multipliers exceed {fs.BLOWUP_THRESHOLD:g} "
                             f"on samples {blown.tolist()}", ids=blown)
-                    weights = lam_new
-                elif config.method == CSERM:
-                    weights = fs.analytic_dual_opt(g, eps_b, config.alpha)
-                else:
-                    weights = uniform[len(batch)]
 
                 t2 = clock()
                 grad = models.weighted_grad(model, cache, dpred, weights)
@@ -389,7 +365,6 @@ def _train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
         try:
             if epoch < config.epochs - 1:
                 ahead = _forward(model, theta, train_rows, kind, train_ws, grad=True)
-                passes["forward"] += 1
                 t1 = clock()  # the next step's forward, timed as one
                 t_forward += t1 - t0
                 t0 = t1
@@ -472,6 +447,13 @@ def _train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
     )
 
 
+def write_json(path, obj) -> None:
+    """Write ``obj`` as JSON with sorted keys, a 2-space indent and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def save_run(record: RunRecord, outdir) -> None:
     """Persist a run directory; see the README for the file contract.
 
@@ -485,9 +467,7 @@ def save_run(record: RunRecord, outdir) -> None:
     for path in (status_path, meta_path):
         if os.path.exists(path):
             os.remove(path)
-    with open(os.path.join(outdir, "config.json"), "w") as fh:
-        json.dump(record.config, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(outdir, "config.json"), record.config)
     with open(os.path.join(outdir, "trajectory.csv"), "w") as fh:
         fh.write(",".join(TRAJECTORY_COLUMNS) + "\n")
         stats = TRAJECTORY_COLUMNS[1:]
@@ -502,10 +482,7 @@ def save_run(record: RunRecord, outdir) -> None:
                 fh.write(f"{i},{float(value)!r}\n")
     models.save_checkpoint(os.path.join(outdir, "checkpoint.bin"), record.params)
     persist = time.perf_counter() - start
-    with open(meta_path, "w") as fh:
-        json.dump({**record.meta, "phase_s": {**record.phase_s, "persist": persist}},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(meta_path, {**record.meta, "phase_s": {**record.phase_s, "persist": persist}})
     with open(status_path, "w") as fh:
         fh.write("completed\n" if record.status == "completed"
                  else f"aborted: {record.abort_reason}\n")

@@ -776,6 +776,38 @@ class TestCompare:
             cli.compare(dirs, out_dir=str(tmp_path / "cmp"))
         assert cli.main(["compare", *dirs, "--out", str(tmp_path / "cmp2")]) == cli.EXIT_CONFIG
 
+    def test_no_run_dirs_is_a_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="compare needs at least one run directory"):
+            cli.compare([], out_dir=str(tmp_path / "cmp"))
+        assert not (tmp_path / "cmp").exists()
+
+    def test_run_without_a_dataset_signature_exits_two(self, tmp_path, capsys):
+        cfg = _tiny_config(tmp_path, seeds=(0,))
+        cli.run_experiment(cfg)
+        run = os.path.join(cfg["output_dir"], "seed_0")
+        config_path = os.path.join(run, "config.json")
+        with open(config_path) as fh:
+            config = json.load(fh)
+        del config["dataset_signature"]
+        with open(config_path, "w") as fh:
+            json.dump(config, fh)
+        out = tmp_path / "cmp"
+        assert cli.main(["compare", run, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert "run directories lack dataset signatures; re-run training to compare" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_runs_without_a_test_split_report_the_train_split_only(self, tmp_path):
+        cfg = _tiny_config(tmp_path)
+        cfg["split"] = {"test_fraction": 0.0, "seed": 0}
+        cli.run_experiment(cfg)
+        dirs = [os.path.join(cfg["output_dir"], f"seed_{s}") for s in (0, 1)]
+        out = tmp_path / "cmp"
+        report = cli.compare(dirs, out_dir=str(out), svg=True)
+        assert [(row["method"], row["split"], row["n_runs"]) for row in report["table"]] == [("fl", "train", 2)]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "cdf_fl_train.csv", "cdf_train.svg", "comparison.json", "cvar_fl_train.csv", "cvar_train.svg",
+            "table.csv"]
+
     @pytest.mark.parametrize("q", ["1.0", "-0.5"])
     def test_quantile_outside_unit_interval_exits_two(self, tmp_path, capsys, q):
         cfg = _tiny_config(tmp_path, seeds=(0,))

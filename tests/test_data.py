@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from feaslearn import data
-from feaslearn.errors import ParameterError
+from feaslearn.errors import ParameterError, ShapeError
 
 
 class TestTwoMoons:
@@ -241,6 +243,18 @@ class TestDatasetContract:
             data.Dataset(features=np.zeros((2, 1)), targets=np.array([0.0, 1.7]),
                          ids=np.arange(2), task="classification")
 
+    @pytest.mark.parametrize("features,targets,task,error,message", [
+        (np.zeros(3), np.zeros(3), "regression", ShapeError, "features must be 2-d, got shape (3,)"),
+        (np.zeros((2, 1)), np.array([0, -1]), "classification", ParameterError,
+         "classification targets must be non-negative labels"),
+        (np.zeros((2, 1)), np.zeros(2), "ranking", ParameterError, "unknown task 'ranking'"),
+        (np.zeros((2, 1)), np.zeros(3), "regression", ShapeError,
+         "targets must be a vector with one entry per sample"),
+    ], ids=["one_dimensional_features", "negative_label", "unknown_task", "wrong_length_targets"])
+    def test_rejects_malformed_inputs(self, features, targets, task, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            data.Dataset(features=features, targets=targets, ids=np.arange(len(features)), task=task)
+
     def test_integral_float_labels_are_accepted(self):
         ds = data.Dataset(features=np.zeros((2, 1)), targets=np.array([0.0, 1.0]),
                           ids=np.arange(2), task="classification")
@@ -284,6 +298,33 @@ class TestSplit:
     def test_empty_half_rejected(self, n, fraction):
         with pytest.raises(ParameterError, match="leaves"):
             data.split_train_test(data.gen_noisy_cosine(n, 0.1, 0), fraction, 0)
+
+
+class TestParameterGuards:
+    @pytest.mark.parametrize("call,message", [
+        (lambda: data.gen_noisy_cosine(0, 0.1, 0), "n must be >= 1"),
+        (lambda: data.gen_conflicting_pairs(0, 2, 2.0, 0), "n_pairs must be >= 1"),
+        (lambda: data.gen_conflicting_pairs(2, 0, 2.0, 0), "d must be >= 1"),
+        (lambda: data.gen_conflicting_pairs(2, 2, 0.0, 0), "label_gap must be positive"),
+        (lambda: data.with_label_outliers(data.gen_noisy_cosine(10, 0.1, 0), 1.5, 1.0, 0),
+         "fraction must lie in [0, 1]"),
+        (lambda: data.with_label_outliers(data.gen_noisy_cosine(10, 0.1, 0), 0.1, 1.0, 0, "middle"),
+         "unknown placement 'middle'"),
+        (lambda: data.poly_features(np.zeros(2), 3, "chebyshev", (1.0, 1.0)), "domain must satisfy hi > lo"),
+        (lambda: data.poly_features(np.zeros(2), 3, "chebyshev", (1.0, 0.0)), "domain must satisfy hi > lo"),
+        (lambda: data.combine_seed(-1, 0), "run_seed and epoch must be non-negative"),
+        (lambda: data.combine_seed(0, -1), "run_seed and epoch must be non-negative"),
+        (lambda: data.split_train_test(data.gen_noisy_cosine(10, 0.1, 0), 1.0, 0),
+         "test_fraction must lie in [0, 1)"),
+        (lambda: data.split_train_test(data.gen_noisy_cosine(10, 0.1, 0), -0.1, 0),
+         "test_fraction must lie in [0, 1)"),
+    ], ids=["cosine_n", "pairs_n_pairs", "pairs_d", "pairs_label_gap", "outlier_fraction",
+            "outlier_placement", "chebyshev_empty_domain", "chebyshev_reversed_domain",
+            "seed_negative_run_seed", "seed_negative_epoch", "split_fraction_one",
+            "split_fraction_negative"])
+    def test_rejects_bad_parameters(self, call, message):
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            call()
 
 
 class TestCsvRoundTrip:

@@ -119,6 +119,17 @@ class TestLagrangians:
         with pytest.raises(ShapeError):
             fs.lagrangian_alpha([0.6, 0.2], 0.51, [0.18], 2.0)
 
+    @pytest.mark.parametrize("alpha", [0.0, -1.0])
+    @pytest.mark.parametrize("call", [
+        lambda alpha: fs.lagrangian_alpha([0.6], 0.5, [0.1], alpha),
+        lambda alpha: fs.lagrangian_rfl_slack([0.6], 0.5, [0.1], [0.1], alpha),
+        lambda alpha: fs.analytic_dual_opt([0.6], 0.5, alpha),
+        lambda alpha: fs.cserm_objective([0.6], 0.5, alpha),
+    ], ids=["lagrangian_alpha", "lagrangian_rfl_slack", "analytic_dual_opt", "cserm_objective"])
+    def test_non_positive_alpha_is_rejected(self, call, alpha):
+        with pytest.raises(ParameterError, match="alpha must be positive"):
+            call(alpha)
+
     def test_regularized_hand_value(self):
         assert fs.lagrangian_alpha([0.6], 0.51, [0.18], 2.0) == pytest.approx(0.0081)
 
@@ -205,6 +216,10 @@ class TestSlackView:
     def test_undefined_without_finite_alpha(self):
         with pytest.raises(ParameterError):
             fs.slack_view(np.zeros(2), math.inf)
+
+    def test_negative_multipliers_are_rejected(self):
+        with pytest.raises(ParameterError, match="multipliers must be non-negative"):
+            fs.slack_view(np.array([0.5, -1e-3]), 2.0)
 
 
 class TestCsermObjective:

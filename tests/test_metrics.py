@@ -48,6 +48,12 @@ class TestCvar:
     def test_ties_at_top_fall_back_to_max(self):
         assert metrics.cvar([2.0, 2.0, 2.0], 0.5) == pytest.approx(2.0)
 
+    def test_rejects_empty(self):
+        with pytest.raises(ParameterError, match="quantile of an empty loss vector"):
+            metrics.empirical_quantile([], 0.5)
+        with pytest.raises(ParameterError, match="quantile of an empty loss vector"):
+            metrics.cvar([], 0.5)
+
     def test_rejects_out_of_range_quantile(self):
         with pytest.raises(ParameterError):
             metrics.cvar([1.0], 1.0)

@@ -48,6 +48,18 @@ class TestForward:
         with pytest.raises(ShapeError, match=re.escape(f"a workspace takes one theta, shape ({mlp.n_params},)")):
             mlp.forward_cache(np.zeros((2, mlp.n_params)), np.zeros((4, 2)), models.Workspace())
 
+    @pytest.mark.parametrize("build,message", [
+        (lambda: models.LinearModel(0), "n_features must be >= 1"),
+        (lambda: models.MLP((2,)), "layers must list at least input and output widths >= 1"),
+        (lambda: models.MLP((2, 0, 2)), "layers must list at least input and output widths >= 1"),
+        (lambda: models.MLP((2, 2), task="ranking"), "unknown task 'ranking'"),
+        (lambda: models.MLP((1, 4, 2), task="regression"), "regression MLPs need output width 1"),
+    ], ids=["linear_no_features", "mlp_one_layer", "mlp_zero_width", "mlp_unknown_task",
+            "mlp_regression_width_2"])
+    def test_constructors_reject_bad_arguments(self, build, message):
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            build()
+
     def test_one_dimensional_features_raise_shape_error(self):
         with pytest.raises(ShapeError, match=r"expected 3 features, got shape \(3,\)"):
             models.LinearModel(3).forward(np.zeros(3), np.zeros(3))
@@ -134,8 +146,10 @@ class TestPerSampleLoss:
             models.per_sample_loss(models.CROSS_ENTROPY, np.zeros((2, 3, 2)), np.zeros(2, dtype=int))
 
     def test_unknown_kind(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="unknown loss kind 'hinge'"):
             models.per_sample_loss("hinge", np.zeros(1), np.zeros(1))
+        with pytest.raises(ParameterError, match="unknown loss kind 'hinge'"):
+            models.loss_grad("hinge", np.zeros(1), np.zeros(1))
 
     @pytest.mark.parametrize("label", [-1, 2, 7])
     def test_class_label_outside_the_output_width_names_its_sample(self, label):
@@ -439,6 +453,11 @@ class TestCheckpoints:
             rebuilt = models.model_from_descriptor(model.descriptor())
             assert rebuilt.descriptor() == model.descriptor()
             assert rebuilt.n_params == model.n_params
+
+    @pytest.mark.parametrize("descriptor", ["bogus", "", "linear", "mlp 2,2"])
+    def test_unparseable_descriptor_is_a_parameter_error(self, descriptor):
+        with pytest.raises(ParameterError, match=re.escape(f"unparseable shape descriptor {descriptor!r}")):
+            models.model_from_descriptor(descriptor)
 
     def test_params_must_match_descriptor(self):
         with pytest.raises(ShapeError):

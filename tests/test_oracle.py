@@ -372,3 +372,13 @@ def test_brute_force_rejects_large_models():
 def test_random_problem_unknown_family():
     with pytest.raises(ParameterError):
         oracle.random_problem("resnet", np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10])
+@pytest.mark.parametrize("check", [
+    lambda tol: oracle.check_cserm_identity(n_trials=1, tol=tol),
+    lambda tol: oracle.check_slack_inner_min([0.6, 0.1], 0.5, 1.0, n_perturbations=1, tol=tol),
+], ids=["check_cserm_identity", "check_slack_inner_min"])
+def test_non_positive_tol_is_rejected(check, tol):
+    with pytest.raises(ParameterError, match="tol must be positive"):
+        check(tol)

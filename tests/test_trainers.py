@@ -475,6 +475,20 @@ class TestCostParity:
         assert record.train_pass_counts == {"forward": steps, "backward": steps}
         assert len(calls) == steps + 1 + epochs
 
+    @pytest.mark.parametrize("batch_size,steps", [(None, 1), (7, 5)], ids=["full_batch", "batch_7"])
+    def test_abort_at_epoch_end_counts_no_unused_forward(self, batch_size, steps):
+        # The epoch-end train forward after the first epoch's steps would be
+        # the next step's; the test evaluation then aborts, so no step uses it.
+        test_ds = data.Dataset(features=np.array([[0.5], [1e200]]), targets=np.zeros(2),
+                               ids=np.arange(2), task=data.REGRESSION)
+        cfg = TrainerConfig(method="fl", eta_theta=1e-2, eta_lambda=0.1, eps=0.05,
+                            batch_size=batch_size, epochs=3, seed=0)
+        record = train(cfg, models.MLP((1, 6, 1), data.REGRESSION),
+                       data.gen_noisy_cosine(30, 0.1, 5), test_ds)
+        assert record.abort_reason == "epoch-end evaluation failed: non-finite losses for samples [1]"
+        assert record.abort == {"epoch": 0, "step": steps, "ids": [1]}
+        assert record.train_pass_counts == {"forward": steps, "backward": steps}
+
     def test_shared_step_reaches_trainer_and_gradient_oracle(self, monkeypatch):
         # train() and weighted_loss_grad take their backward pass through
         # models.weighted_grad, so doubling its output doubles both. Under erm
@@ -532,7 +546,7 @@ class TestInfeasibleDynamics:
         cfg = TrainerConfig(method="fl", eta_theta=1e-12, eta_lambda=1e13, eps=0.0,
                             epochs=5, primal_optimizer="sgd", seed=0)
         record = train(cfg, model, ds)
-        assert record.aborted
+        assert record.status == "aborted"
         assert "dual blow-up" in record.abort_reason
         assert record.train_losses is not None  # partial artifacts retained
 
@@ -542,7 +556,7 @@ class TestInfeasibleDynamics:
         cfg = TrainerConfig(method="erm", eta_theta=1e30, epochs=50,
                             primal_optimizer="sgd", seed=0)
         record = train(cfg, model, ds)
-        assert record.aborted
+        assert record.status == "aborted"
         assert len(record.trajectory) < 50
 
 
@@ -624,7 +638,7 @@ class TestRunRecordPersistence:
         train_ds, test_ds = data.split_train_test(ds, 0.25, seed) if with_test else (ds, None)
         with np.errstate(over="ignore", invalid="ignore"):
             record = train(cfg, model, train_ds, test_ds)
-        assert classify or record.aborted == (diverge and epochs > 0)
+        assert classify or (record.status == "aborted") == (diverge and epochs > 0)
         with tempfile.TemporaryDirectory() as outdir:
             trainers.save_run(record, outdir)
             back = trainers.load_run(outdir)

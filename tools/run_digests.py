@@ -30,6 +30,14 @@ earlier `seed_0/`, `seed_1/` and `summary.json` must all stay:
     run-failing_seed: <error>; left: <files>
     run-failing_rerun: <error>; left: <files>
 
+Then `cli.compare(..., svg=True)` compares, seed by seed, the seed
+directories of the two templates of each pair in COMPARED (the seeds of a
+template differ in their data). Each file it writes (the curve CSVs,
+`table.csv`, the SVGs and `comparison.json`, hashed without its `out_dir`)
+prints as
+
+    <sha256>  compare-<pair>-seed_<s>/<file>
+
 Last comes the report file that the checkout's own
 `cli.verify("all", report_path=...)` writes, the file of
 `feaslearn verify all --report`, as
@@ -38,9 +46,9 @@ Last comes the report file that the checkout's own
 
 So two checkouts train the same bits, abort with the same reasons and ids,
 write the same experiment summaries, clean up the same way after a failing
-seed, and verify to the same report, when the outputs do not differ. Run
-one copy of this tool, the newer one, against both checkouts, so that both
-outputs list the same runs:
+seed, compare to the same files and verify to the same report, when the
+outputs do not differ. Run one copy of this tool, the newer one, against
+both checkouts, so that both outputs list the same runs:
 
     python3 tools/run_digests.py PARENT > parent.txt
     python3 tools/run_digests.py . > change.txt
@@ -54,6 +62,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -72,6 +81,12 @@ SETTINGS = {
     "adamw_wd_cosine": {"primal_optimizer": "adamw", "weight_decay": 1e-2, "cosine_decay": True},
     # every template's train split has more than 7 rows and a ragged last batch
     "mini_batch": {"batch_size": 7},
+}
+
+# pair: the two templates whose seed_<s> directories one compare call pools
+COMPARED = {
+    "outlier_regression": ("outlier_regression_erm", "outlier_regression_rfl"),
+    "two_moons": ("two_moons_fl", "two_moons_erm"),
 }
 
 
@@ -98,6 +113,9 @@ def aborts(data, models, np):
                          task=data.REGRESSION), None),
         "eval_non_finite_loss": (
             {"method": "fl", "eta_theta": 1e-2, "eta_lambda": 0.1, "eps": 0.05},
+            models.MLP((1, 6, 1), data.REGRESSION), cosine, far),
+        "eval_non_finite_loss-mini_batch": (
+            {"method": "fl", "eta_theta": 1e-2, "eta_lambda": 0.1, "eps": 0.05, "batch_size": 7},
             models.MLP((1, 6, 1), data.REGRESSION), cosine, far),
         "step_non_finite_prediction": (
             {"method": "erm", "eta_theta": 1.0, "batch_size": 2},
@@ -154,6 +172,21 @@ def run_templates(cli, tmp: Path, epochs: int) -> None:
     failing_run(cli, "run-failing_rerun", "build_dataset", lambda seed: seed == 1,
                 {**template, "trainer": trainer, "seeds": [0, 1],
                  "output_dir": str(tmp / "run-noisy_cosine_fl")})
+
+
+def compare_templates(cli, tmp: Path) -> None:
+    """Digest what `compare --svg` writes for each pair of COMPARED, seed by seed."""
+    for (pair, names), seed in itertools.product(COMPARED.items(), (0, 1)):
+        label = f"compare-{pair}-seed_{seed}"
+        cli.compare([str(tmp / f"run-{name}" / f"seed_{seed}") for name in names],
+                    out_dir=str(tmp / label), svg=True)
+        for path in sorted((tmp / label).iterdir()):
+            raw = path.read_bytes()
+            if path.name == "comparison.json":
+                report = json.loads(raw)
+                report.pop("out_dir")
+                raw = json.dumps(report, sort_keys=True).encode()
+            print(f"{hashlib.sha256(raw).hexdigest()}  {label}/{path.name}")
 
 
 def failing_run(cli, label: str, where: str, fails, config: dict) -> None:
@@ -215,6 +248,7 @@ def main(argv=None) -> int:
             for file, digest in file_digests(run_dir).items():
                 print(f"{digest}  {name}/{file}")
         run_templates(cli, Path(tmp), args.epochs)
+        compare_templates(cli, Path(tmp))
         report = Path(tmp) / "verify_all.json"
         cli.verify("all", report_path=str(report))
         print(f"{hashlib.sha256(report.read_bytes()).hexdigest()}  verify_all/report.json")
