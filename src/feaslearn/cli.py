@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import copy
 import dataclasses
+import errno
 import json
 import os
 import shutil
@@ -83,6 +84,20 @@ def _writing(path):
         yield
     except OSError as err:
         raise ConfigError(f"cannot write {path}: {err.strerror}") from None
+
+
+def _check_writable(path, walk_up: bool) -> None:
+    """Raise the ConfigError of ``_writing``, creating nothing, unless the parent
+    of ``path`` (with ``walk_up``, its nearest existing ancestor or ``path``
+    itself) is a directory that this process may write to."""
+    at = os.path.abspath(path) if walk_up else os.path.dirname(os.path.abspath(path))
+    while walk_up and not os.path.exists(at):
+        at = os.path.dirname(at)
+    if os.path.isdir(at) and os.access(at, os.W_OK | os.X_OK):
+        return
+    code = errno.EACCES if os.path.isdir(at) else errno.ENOTDIR if os.path.exists(at) else errno.ENOENT
+    with _writing(path):
+        raise OSError(code, os.strerror(code))
 
 
 def _section(given: dict, path: str, fields: dict) -> dict:
@@ -347,6 +362,7 @@ def run_experiment(config, output_root: str | None = None) -> dict:
     """
     cfg = load_config(config)
     outdir = _resolve_output_dir(cfg, output_root)
+    _check_writable(outdir, walk_up=True)
     per_seed = {str(seed): metrics for seed, metrics in zip(cfg["seeds"], _run_seeds(cfg, outdir))}
 
     scalar_keys = sorted({k for m in per_seed.values() for k, v in m.items()
@@ -502,6 +518,8 @@ def verify(suite: str = "all", report_path: str | None = None) -> dict:
     """Run the verification oracles; used as the trust gate for the trainer."""
     if suite not in ("props", "gradients", "all"):
         raise ConfigError("suite must be props, gradients, or all")
+    if report_path:
+        _check_writable(report_path, walk_up=False)
     checks = []
     if suite in ("props", "all"):
         checks += [oracle.check_cserm_identity(), oracle.slack_elimination_suite()]

@@ -38,7 +38,8 @@ def dual_step_rfl(lam, v, eta_lam: float, alpha: float, ids=None) -> np.ndarray:
     The decay discounts historical violations, which keeps multipliers of
     unsatisfiable constraints bounded (fixed point alpha * v for constant
     violation v). alpha = inf is the plain projected ascent [lam + eta * v]_+
-    of fl, exactly.
+    of fl, exactly. eta = alpha gives alpha * [v]_+ whatever lam was, up to
+    rounding: the best response of :func:`analytic_dual_opt`.
     A non-finite result names its samples by ``ids`` (positions when None).
     The formula is :func:`dual_ascent`; this function adds the checks.
     """

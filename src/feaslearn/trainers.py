@@ -6,8 +6,7 @@ applied to the loss gradients:
 
   erm    uniform 1/|B|
   fl     multipliers after a projected ascent update (dual step first)
-  rfl    multipliers after an ascent-with-decay update (dual step first),
-         or with analytic_dual the multipliers set to cserm's weights
+  rfl    multipliers after an ascent-with-decay update (dual step first)
   cserm  alpha * [g - eps]_+ computed directly from the batch losses
 
 Multipliers of samples absent from a batch are untouched by that step. The
@@ -90,7 +89,6 @@ class TrainerConfig:
     momentum: float = 0.9
     weight_decay: float = 0.0
     cosine_decay: bool = False
-    analytic_dual: bool = False
 
     def __post_init__(self):
         if self.alpha in ("inf", None):
@@ -108,8 +106,6 @@ class TrainerConfig:
             self.alpha = math.inf
         if self.method in (RFL, CSERM) and math.isinf(self.alpha):
             raise ParameterError("rfl/cserm need a finite positive alpha")
-        if self.analytic_dual and self.method != RFL:
-            raise ParameterError("analytic_dual only applies to rfl")
 
     def echo(self) -> dict:
         out = asdict(self)
@@ -319,15 +315,14 @@ def _train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
 
                 if config.method == ERM:
                     weights = uniform[len(batch)]
-                elif config.method == CSERM or config.analytic_dual:
+                elif config.method == CSERM:
                     weights = fs.analytic_dual_opt(g, eps_b, config.alpha)
                 else:
                     lam_b = lam if full_batch else lam[batch.ids]
                     weights = fs.dual_ascent(lam_b, v, config.eta_lambda, config.alpha)
-                if config.method in (FL, RFL):
                     # One reduction for both checks: NaN fails the comparison, +inf exceeds.
                     blown_up = not weights.max() <= fs.BLOWUP_THRESHOLD
-                    if blown_up and not config.analytic_dual:
+                    if blown_up:
                         # raises on a non-finite multiplier, naming its samples
                         fs.dual_step_rfl(lam_b, v, config.eta_lambda, config.alpha, batch.ids)
                     if full_batch:

@@ -63,8 +63,8 @@ def test_p4_equivalent_trajectories():
                       ids=np.arange(16), task=data.REGRESSION)
     model = MLP((2, 8, 1), task=data.REGRESSION)
     kw = dict(eta_theta=5e-3, eps=0.05, epochs=100, primal_optimizer="sgd", seed=0)
-    rec_rfl = train(TrainerConfig(method="rfl", alpha=2.0, eta_lambda=0.1,
-                                  analytic_dual=True, **kw), model, ds)
+    # eta_lambda = alpha: rfl's own ascent step is the best response alpha * [g - eps]_+
+    rec_rfl = train(TrainerConfig(method="rfl", alpha=2.0, eta_lambda=2.0, **kw), model, ds)
     rec_cserm = train(TrainerConfig(method="cserm", alpha=2.0, **kw), model, ds)
     dist = float(np.linalg.norm(rec_rfl.params.theta - rec_cserm.params.theta))
     rows_equal = all(
@@ -73,7 +73,7 @@ def test_p4_equivalent_trajectories():
     elapsed = time.perf_counter() - start
     ok = dist <= 1e-10 and rows_equal and elapsed < 30.0
     _report("P4", ok,
-            f"analytic-dual vs clamped-squared over 100 full-batch steps: "
+            f"rfl (eta_lambda = alpha) vs clamped-squared over 100 full-batch steps: "
             f"final parameter distance = {dist:.3e} (tol 1e-10), "
             f"per-step losses identical = {rows_equal}, {elapsed:.1f}s")
 

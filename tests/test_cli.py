@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -212,8 +213,9 @@ class TestRunExperiment:
         ("model", {"family": "poly", "degree": 3}, "degre"),
         ("model", {"family": "mlp", "layers": [2, 6, 2]}, "layer"),
         ("trainer", {"method": "erm", "epochs": 3}, "epoch"),
+        ("trainer", {"method": "rfl", "alpha": 1.0, "eta_lambda": 1.0}, "analytic_dual"),
     ], ids=["top_level", "split", "metrics", "two_moons", "noisy_cosine", "conflicting_pairs", "csv",
-            "outliers", "linear", "poly", "mlp", "trainer"])
+            "outliers", "linear", "poly", "mlp", "trainer", "trainer_analytic_dual"])
     def test_unknown_key_in_any_section_exits_two_and_writes_nothing(self, tmp_path, capsys,
                                                                      section, base, key):
         cfg = _tiny_config(tmp_path, seeds=(0,))
@@ -299,7 +301,6 @@ class TestRunExperiment:
         ("trainer", "cosine_decay", "yes", "cosine_decay must be true or false"),
         ("trainer", "momentum", "x", "momentum must be a number"),
         ("trainer", "weight_decay", "x", "weight_decay must be a number"),
-        ("trainer", "analytic_dual", "no", "analytic_dual must be true or false"),
         ("trainer", "eta_lambda", "x", "eta_lambda must be a number"),  # on erm, which ignores it
         ("model", "family", "tree", "'model.family': unknown family 'tree'"),
         ("split", "test_fraction", 1.5, "'split.test_fraction': must lie in [0, 1)"),
@@ -955,7 +956,8 @@ class TestGenConfig:
 
 
 @pytest.mark.parametrize("verb", ["gen-config", "verify", "compare", "run"])
-def test_unwritable_output_path_exits_two_naming_it(tmp_path, capsys, verb):
+def test_unwritable_output_path_exits_two_naming_it(tmp_path, capsys, monkeypatch, verb):
+    # run and verify refuse the path before they train or run a check
     blocker = tmp_path / "a_file"
     blocker.write_text("not a directory\n")
     missing = tmp_path / "missing"
@@ -971,16 +973,33 @@ def test_unwritable_output_path_exits_two_naming_it(tmp_path, capsys, verb):
         path = blocker / "cmp"
         argv = ["compare", os.path.join(cfg["output_dir"], "seed_0"), "--out", str(path)]
     else:
-        cfg = _tiny_config(tmp_path)
+        cfg = _tiny_config(tmp_path, seeds=(0,))  # one seed trains in this process, where it is counted
         path = blocker / "out"
         cfg["output_dir"] = str(path)
         (tmp_path / "cfg.json").write_text(json.dumps(cfg))
         argv = ["run", str(tmp_path / "cfg.json")]
+    calls = []
+    for module, name in ((trainers, "train"), (cli.oracle, "check_cserm_identity")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
     before = sorted(tmp_path.rglob("*"))
     assert cli.main(argv) == cli.EXIT_CONFIG
-    assert f"config error: cannot write {path}: " in capsys.readouterr().err
+    strerror = os.strerror(errno.ENOENT if verb in ("gen-config", "verify") else errno.ENOTDIR)
+    assert f"config error: cannot write {path}: {strerror}\n" in capsys.readouterr().err
+    assert calls == []
     assert sorted(tmp_path.rglob("*")) == before
     assert blocker.read_text() == "not a directory\n"
+
+
+def test_report_in_a_directory_without_write_access_exits_two_before_any_check(tmp_path, capsys,
+                                                                               monkeypatch):
+    # os.access ignores permission bits for root, so the denial is simulated
+    path = tmp_path / "r.json"
+    monkeypatch.setattr(cli.oracle, "check_cserm_identity", lambda *a: pytest.fail("a check ran"))
+    monkeypatch.setattr(os, "access", lambda at, mode: at != str(tmp_path))
+    assert cli.main(["verify", "props", "--report", str(path)]) == cli.EXIT_CONFIG
+    assert f"config error: cannot write {path}: {os.strerror(errno.EACCES)}\n" in capsys.readouterr().err
+    assert not path.exists()
 
 
 def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):

@@ -278,7 +278,8 @@ class TestEnvelopeGradient:
 
 
 class TestMultipliers:
-    # Non-negativity rests on the projections in dual_step_rfl and analytic_dual_opt.
+    # Non-negativity rests on the projection in dual_ascent; the third draw is rfl's
+    # best-response step, eta_lambda = alpha.
     @settings(max_examples=20, deadline=None)
     @given(method=st.sampled_from([("fl", False), ("rfl", False), ("rfl", True)]),
            seed=st.integers(0, 2**16), eps=st.floats(0.0, 0.6),
@@ -286,10 +287,10 @@ class TestMultipliers:
            batch_size=st.sampled_from([None, 4]))
     def test_non_negative_and_bit_equal_after_reload(self, method, seed, eps, log_eta,
                                                      log_alpha, batch_size):
-        name, analytic = method
-        cfg = TrainerConfig(method=name, analytic_dual=analytic, eps=eps, epochs=6,
-                            eta_theta=0.05, eta_lambda=10.0 ** log_eta,
-                            alpha=10.0 ** log_alpha if name == "rfl" else "inf",
+        name, best_response = method
+        alpha = 10.0 ** log_alpha if name == "rfl" else "inf"
+        cfg = TrainerConfig(method=name, eps=eps, epochs=6, eta_theta=0.05,
+                            eta_lambda=alpha if best_response else 10.0 ** log_eta, alpha=alpha,
                             batch_size=batch_size, seed=seed)
         record = train(cfg, models.PolyModel(3, "chebyshev", (0.0, 1.0)),
                        gen_noisy_cosine(10, 0.3, seed))

@@ -4,10 +4,11 @@
 
 Imports feaslearn from CHECKOUT/src, with BLAS pinned to one thread. Trains
 seed 0 of every `feaslearn gen-config` template, for at most --epochs epochs,
-under each trainer setting in SETTINGS (and with the closed-form dual for the
-rfl templates), so every model family runs full-batch and mini-batch to
-completion, then the runs of `aborts()`, which end in an abort record. Each
-run is written with `trainers.save_run`, and each of its files prints as
+under each trainer setting in SETTINGS (and, for the rfl templates, with
+eta_lambda = alpha, rfl's best-response dual step), so every model family
+runs full-batch and mini-batch to completion, then the runs of `aborts()`,
+which end in an abort record. Each run is written with `trainers.save_run`,
+and each of its files prints as
 
     <sha256>  <run>/<file>
 
@@ -233,7 +234,7 @@ def main(argv=None) -> int:
         model = cli.build_model(cfg, train_ds)
         settings = dict(SETTINGS)
         if cfg["trainer"]["method"] == trainers.RFL:
-            settings["analytic_dual"] = {"analytic_dual": True}
+            settings["best_response"] = {"eta_lambda": cfg["trainer"]["alpha"]}
         for setting, fields in settings.items():
             trainer = {**cfg["trainer"], **fields, "epochs": min(cfg["trainer"]["epochs"], args.epochs)}
             runs.append((f"{name}-{setting}", trainer, model, train_ds, test_ds))
