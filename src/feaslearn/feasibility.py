@@ -32,6 +32,26 @@ def violations(g, spec) -> np.ndarray:
     return np.asarray(g, dtype=np.float64) - np.asarray(spec, dtype=np.float64)
 
 
+def _checked_violations(g, spec, **operands) -> np.ndarray:
+    """:func:`violations`, once a non-scalar ``spec`` and every named operand
+    have g's length on their last axis; leading stack axes still broadcast.
+    The value functions call this; the training step calls :func:`violations`
+    alone.
+    """
+    g = np.asarray(g, dtype=np.float64)
+    spec = np.asarray(spec, dtype=np.float64)
+    if g.ndim == 0:
+        raise ShapeError("g has no sample axis")
+    n = g.shape[-1]
+    if spec.ndim:
+        operands = {"eps": spec, **operands}
+    for name, x in operands.items():
+        if x.shape[-1:] != (n,):
+            got = f"length {x.shape[-1]}" if x.ndim else "no sample axis"
+            raise ShapeError(f"{name} has {got}, but g has length {n}")
+    return violations(g, spec)
+
+
 def dual_step_rfl(lam, v, eta_lam: float, alpha: float, ids=None) -> np.ndarray:
     """Ascent with multiplier decay 1/alpha: [lam + eta * (v - lam/alpha)]_+.
 
@@ -63,34 +83,35 @@ def dual_ascent(lam, v, eta_lam: float, alpha: float) -> np.ndarray:
     return np.maximum(lam + eta_lam * (v - lam / alpha), 0.0)
 
 
-def lagrangian_alpha(g, spec, lam, alpha: float) -> float:
+def lagrangian_alpha(g, spec, lam, alpha: float) -> float | np.ndarray:
     """Quadratically-regularized value: lam^T (g - eps) - ||lam||^2 / (2 alpha).
 
     Strictly concave in lam for finite alpha, so the inner maximization has
     the unique solution given by :func:`analytic_dual_opt`. alpha = inf gives
     the plain Lagrangian term lam^T (g - eps) of fl.
+    ``lam`` may be a stack (..., n): one value per row results, each bit-equal
+    to this function on that row alone. A 1-D ``lam`` gives a float.
     """
     if alpha <= 0:
         raise ParameterError("alpha must be positive")
     lam = np.asarray(lam, dtype=np.float64)
-    v = violations(g, spec)
-    if lam.shape != v.shape:
-        raise ShapeError("multiplier and loss vectors must have equal length")
-    return float(lam @ v) - float(lam @ lam) / (2.0 * alpha)
+    v = _checked_violations(g, spec, lam=lam)
+    value = np.vecdot(lam, v) - np.vecdot(lam, lam) / (2.0 * alpha)
+    return float(value) if lam.ndim == 1 else value
 
 
 def lagrangian_rfl_slack(g, spec, u, lam, alpha: float) -> float | np.ndarray:
     """Slack-form value (alpha/2)||u||^2 + lam^T (g - eps - u).
 
-    ``u`` may be a stack of slack vectors, shape (..., n): the result then
-    holds one value per row, each bit-equal to this function called on that
+    ``u`` and ``lam`` may be stacks (..., n) that broadcast together: the
+    result holds one value per row, each bit-equal to this function on that
     row alone (every row is one BLAS dot product). A 1-D ``u`` gives a float.
     """
     if alpha <= 0:
         raise ParameterError("alpha must be positive")
     u = np.asarray(u, dtype=np.float64)
     lam = np.asarray(lam, dtype=np.float64)
-    v = violations(g, spec)
+    v = _checked_violations(g, spec, u=u, lam=lam)
     value = 0.5 * alpha * np.vecdot(u, u) + np.vecdot(v - u, lam)
     return float(value) if u.ndim == 1 else value
 
@@ -129,6 +150,6 @@ def cserm_objective(g, spec, alpha: float) -> float | np.ndarray:
     """
     if alpha <= 0:
         raise ParameterError("alpha must be positive")
-    clamped = np.maximum(violations(g, spec), 0.0)
+    clamped = np.maximum(_checked_violations(g, spec), 0.0)
     value = 0.5 * alpha * np.vecdot(clamped, clamped)
     return float(value) if clamped.ndim == 1 else value

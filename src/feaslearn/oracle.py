@@ -89,6 +89,8 @@ def check_cserm_identity(n_trials: int = 1000, tol: float = 1e-10, seed: int = 0
     """
     if tol <= 0:
         raise ParameterError("tol must be positive")
+    if n_trials < 1:
+        raise ParameterError("n_trials must be at least 1")
     rng = np.random.default_rng(seed)
     discs = []
     failures = []
@@ -110,7 +112,7 @@ def check_cserm_identity(n_trials: int = 1000, tol: float = 1e-10, seed: int = 0
             failures.append({"trial": trial, "family": family, "alpha": alpha,
                              "discrepancy": disc})
     return {"check": "cserm_identity", "passed": not failures, "n_trials": n_trials,
-            "tol": tol, "max_discrepancy": float(np.max(discs, initial=0.0)), "failures": failures}
+            "tol": tol, "max_discrepancy": float(np.max(discs)), "failures": failures}
 
 
 def check_slack_inner_min(g, eps, alpha: float, n_perturbations: int = 100,
@@ -127,34 +129,41 @@ def check_slack_inner_min(g, eps, alpha: float, n_perturbations: int = 100,
     """
     if tol <= 0:
         raise ParameterError("tol must be positive")
+    if n_perturbations < 0:
+        raise ParameterError("n_perturbations must be non-negative")
     g = np.asarray(g, dtype=np.float64)
+    if g.ndim != 1 or g.size == 0:
+        raise ShapeError(f"g must be a non-empty vector, got shape {g.shape}")
+    for name, x in (("eps", eps), ("lam", lam)):
+        if np.ndim(x) and np.shape(x) != g.shape:
+            raise ShapeError(f"{name} must be a scalar or of g's length {g.size}, "
+                             f"got shape {np.shape(x)}")
+    n, points = g.size, 21
     rng = np.random.default_rng(seed)
-    lam_star = fs.analytic_dual_opt(g, eps, alpha)
-    if lam is not None:
-        lam_draws = [np.asarray(lam, dtype=np.float64)]
-    else:
-        lam_draws = [rng.uniform(0.0, 2.0, size=g.shape) for _ in range(5)]
-    lam_draws.append(lam_star)
+    lams = np.empty((6 if lam is None else 2, n))
+    lams[:-1] = rng.uniform(0.0, 2.0, size=(5, n)) if lam is None else lam
+    lams[-1] = fs.analytic_dual_opt(g, eps, alpha)
+    u_opt = fs.slack_view(lams, alpha)
+    base = fs.lagrangian_rfl_slack(g, eps, u_opt, lams, alpha)
+    duals = fs.lagrangian_alpha(g, eps, lams, alpha)
 
-    gaps, identities = [], []
-    n = g.size
-    for lam_vec in lam_draws:
-        u_opt = fs.slack_view(lam_vec, alpha)
-        base = fs.lagrangian_rfl_slack(g, eps, u_opt, lam_vec, alpha)
-        identities.append(abs(base - fs.lagrangian_alpha(g, eps, lam_vec, alpha)))
-        # Coordinate grids: the slack-form value is separable in u, so
-        # sweeping one coordinate at a time probes the full minimum. Row
-        # (j, k) is u_opt with coordinate j set to grid[k].
-        grid = np.linspace(0.0, max(1.0, float(u_opt.max()) * 2.0), 21)
-        sweeps = np.tile(u_opt, (n, grid.size, 1))
-        sweeps[np.arange(n), :, np.arange(n)] = grid
-        jumps = np.maximum(u_opt + rng.normal(scale=0.5, size=(n_perturbations, n)), 0.0)
-        candidates = np.concatenate([sweeps.reshape(-1, n), jumps])
-        gaps.append(float((base - fs.lagrangian_rfl_slack(g, eps, candidates, lam_vec, alpha)).max()))
+    # Each row's candidates: coordinate sweeps, then joint random moves. The
+    # value is separable in u, so sweeping one coordinate at a time probes the
+    # full minimum. Sweep (j, k) is u_opt with coordinate j set to grid[k].
+    grid = np.linspace(0.0, np.maximum(1.0, 2.0 * u_opt.max(axis=1)), points, axis=-1)
+    candidates = np.empty((len(lams), points * n + n_perturbations, n))
+    sweeps = candidates[:, :points * n].reshape(len(lams), n, points, n)
+    sweeps[...] = u_opt[:, None, None, :]
+    sweeps[:, np.arange(n), :, np.arange(n)] = grid
+    jumps = candidates[:, points * n:]
+    np.add(u_opt[:, None, :], rng.normal(scale=0.5, size=jumps.shape), out=jumps)
+    np.maximum(jumps, 0.0, out=jumps)
+    values = fs.lagrangian_rfl_slack(g, eps, candidates, lams[:, None, :], alpha)
 
     # np.max, unlike max(), propagates NaN, so a non-finite value fails the check.
-    worst_gap, worst_identity = float(np.max(gaps)), float(np.max(identities))
-    saddle_gap = abs(fs.lagrangian_alpha(g, eps, lam_star, alpha) - fs.cserm_objective(g, eps, alpha))
+    worst_gap = float(np.max(base[:, None] - values))
+    worst_identity = float(np.max(np.abs(base - duals)))
+    saddle_gap = abs(float(duals[-1]) - fs.cserm_objective(g, eps, alpha))
     passed = all(math.isfinite(x) and x <= tol for x in (worst_gap, worst_identity, saddle_gap))
     return {"check": "slack_inner_min", "passed": passed, "tol": tol,
             "worst_inner_gap": worst_gap, "worst_identity_discrepancy": worst_identity,
@@ -164,6 +173,8 @@ def check_slack_inner_min(g, eps, alpha: float, n_perturbations: int = 100,
 def slack_elimination_suite(n_trials: int = 100, n_perturbations: int = 100,
                             tol: float = 1e-10, seed: int = 0) -> dict:
     """Run :func:`check_slack_inner_min` on random instances."""
+    if n_trials < 1:
+        raise ParameterError("n_trials must be at least 1")
     rng = np.random.default_rng(seed)
     reports = []
     for trial in range(n_trials):
@@ -195,6 +206,10 @@ def gradient_check_report(families=DEFAULT_FAMILIES, n_draws: int = 20,
     """
     if isinstance(families, str):
         raise ParameterError(f"families must be a sequence of family names, got the string {families!r}")
+    if not families:
+        raise ParameterError("families must name at least one model family")
+    if n_draws < 1:
+        raise ParameterError("n_draws must be at least 1")
     rng = np.random.default_rng(seed)
     out = {"check": "gradients", "tol": tol, "families": {}, "passed": True}
     for family in families:

@@ -117,3 +117,27 @@ def test_verdicts(tmp_path, bench_compare, parent_rel, change_rel, verdict):
     assert metrics["job_rel"]["verdict"] == verdict
     # jobs_per_s = 1 / job_rel: higher is better, under its own 0.1 bound
     assert metrics["jobs_per_s"]["verdict"] == verdict
+
+
+@pytest.mark.parametrize("recorded,flag,code,written", [
+    (None, None, 0, None),
+    (None, "abc123", 0, "abc123"),  # a git-archive checkout records no commit
+    ("abc123", "abc123", 0, "abc123"),
+    ("abc123", None, 0, "abc123"),
+    ("abc123", "def456", 2, None),  # the flag contradicts the results
+])
+def test_parent_commit_flag(tmp_path, bench_compare, capsys, recorded, flag, code, written):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed in range(4):
+        _write(parent, "w", seed, 0, _untraced(5.0, 0.2, ["a"]), recorded)
+        _write(change, "w", seed, 0, _untraced(4.0, 0.25, ["a"]), None)
+    (tmp_path / "spec.json").write_text(json.dumps(SPEC))
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", str(parent), "--change", str(change), "--spec", str(tmp_path / "spec.json"),
+            "--out", str(out)] + (["--parent-commit", flag] if flag else [])
+    assert bench_compare.main(argv) == code
+    if code:
+        assert not out.exists()
+        assert "def456 differs from the parent's recorded commit abc123" in capsys.readouterr().err
+    else:
+        assert json.loads(out.read_text())["parent_commit"] == written

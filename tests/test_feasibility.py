@@ -119,6 +119,49 @@ class TestLagrangians:
         with pytest.raises(ShapeError):
             fs.lagrangian_alpha([0.6, 0.2], 0.51, [0.18], 2.0)
 
+    @pytest.mark.parametrize("call,match", [
+        # each of the first three used to return a number, broadcasting the short operand
+        (lambda: fs.lagrangian_rfl_slack([0.4, 0.5], 0.2, [0.1], [0.1, 0.2], 1.0),
+         "u has length 1, but g has length 2"),
+        (lambda: fs.cserm_objective([0.4], [0.2, 0.1], 1.0), "eps has length 2, but g has length 1"),
+        (lambda: fs.lagrangian_alpha([0.4], [0.2, 0.1], [0.1, 0.1], 1.0),
+         "eps has length 2, but g has length 1"),
+        (lambda: fs.lagrangian_rfl_slack([0.4, 0.5], 0.2, [0.1, 0.1], [0.1], 1.0),
+         "lam has length 1, but g has length 2"),
+        (lambda: fs.lagrangian_alpha([0.4, 0.5], 0.2, np.zeros((3, 4)), 1.0),
+         "lam has length 4, but g has length 2"),
+        (lambda: fs.lagrangian_alpha([0.4], 0.2, 0.1, 1.0), "lam has no sample axis, but g has length 1"),
+        (lambda: fs.cserm_objective(np.zeros((3, 2)), [0.1, 0.2, 0.3], 1.0),
+         "eps has length 3, but g has length 2"),
+        (lambda: fs.cserm_objective(0.4, 0.2, 1.0), "g has no sample axis"),
+    ], ids=["slack_short_u", "cserm_long_eps", "alpha_long_eps", "slack_short_lam",
+            "alpha_stacked_lam", "alpha_scalar_lam", "cserm_stacked_g", "cserm_scalar_g"])
+    def test_operand_length_mismatch_names_both_lengths(self, call, match):
+        with pytest.raises(ShapeError, match=match):
+            call()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+           stack=st.lists(st.integers(1, 5), min_size=1, max_size=2),
+           vector_eps=st.booleans(), finite_alpha=st.booleans())
+    def test_regularized_value_stack_equals_rows_bitwise(self, seed, n, stack, vector_eps,
+                                                          finite_alpha):
+        rng = np.random.default_rng(seed)
+        g = rng.uniform(0.0, 3.0, n)
+        eps = rng.uniform(0.0, 1.5, n) if vector_eps else float(rng.uniform(0.0, 1.5))
+        alpha = float(10.0 ** rng.uniform(-2, 2)) if finite_alpha else math.inf
+        lams = rng.uniform(0.0, 2.0, size=(*stack, n))
+        values = fs.lagrangian_alpha(g, eps, lams, alpha)
+        assert values.shape == lams.shape[:-1]
+        v = g - eps
+        for idx in np.ndindex(lams.shape[:-1]):
+            lam = lams[idx]
+            single = fs.lagrangian_alpha(g, eps, lam, alpha)
+            assert type(single) is float
+            # the single-vector formula before stacks were accepted
+            reference = float(lam @ v) - float(lam @ lam) / (2.0 * alpha)
+            assert values[idx] == single == reference
+
     @pytest.mark.parametrize("alpha", [0.0, -1.0])
     @pytest.mark.parametrize("call", [
         lambda alpha: fs.lagrangian_alpha([0.6], 0.5, [0.1], alpha),

@@ -91,7 +91,7 @@ def test_slack_elimination_suite_passes():
     assert report["passed"], report
 
 
-def _slack_inner_min_one_call_per_candidate(g, eps, alpha, n_perturbations, tol, seed, lam):
+def _slack_inner_min_one_call_per_candidate(g, eps, alpha, n_perturbations, tol, seed, lam=None):
     """Reference: check_slack_inner_min as a loop with one value call per candidate."""
     g = np.asarray(g, dtype=np.float64)
     rng = np.random.default_rng(seed)
@@ -122,10 +122,11 @@ def _slack_inner_min_one_call_per_candidate(g, eps, alpha, n_perturbations, tol,
             "saddle_discrepancy": saddle_gap}
 
 
-@pytest.mark.parametrize("case", range(40))
+@pytest.mark.parametrize("case", range(48))
 def test_slack_inner_min_matches_per_candidate_loop(case):
     rng = np.random.default_rng(1000 + case)
-    n = 1 if case < 8 else int(rng.integers(1, 10))
+    # cases 40-47 reach the lengths where the stack's layout differs most from one row
+    n = 1 if case < 8 else int(rng.integers(1, 10)) if case < 40 else int(rng.integers(10, 42))
     g = rng.uniform(0.0, 3.0, n)
     eps = rng.uniform(0.0, 1.5, n) if case % 2 else float(rng.uniform(0.0, 1.5))
     alpha = float(10.0 ** rng.uniform(-2, 2))
@@ -137,6 +138,47 @@ def test_slack_inner_min_matches_per_candidate_loop(case):
                                        tol=1e-10, seed=seed, lam=lam)
     assert got == expected
     assert got["passed"]
+
+
+def test_suite_at_verify_defaults_equals_per_candidate_reference(monkeypatch):
+    stacked = oracle.slack_elimination_suite()
+    monkeypatch.setattr(oracle, "check_slack_inner_min", _slack_inner_min_one_call_per_candidate)
+    assert oracle.slack_elimination_suite() == stacked
+
+
+def test_scalar_lam_is_every_coordinate():
+    scalar = oracle.check_slack_inner_min([0.6, 0.1, 0.9], 0.5, 1.0, n_perturbations=10, lam=0.3)
+    assert scalar == oracle.check_slack_inner_min([0.6, 0.1, 0.9], 0.5, 1.0, n_perturbations=10,
+                                                  lam=[0.3, 0.3, 0.3])
+    assert scalar["passed"]
+
+
+@pytest.mark.parametrize("call,error,match", [
+    (lambda: oracle.slack_elimination_suite(n_trials=0), ParameterError, "n_trials must be at least 1"),
+    (lambda: oracle.slack_elimination_suite(n_trials=2, n_perturbations=-1), ParameterError,
+     "n_perturbations must be non-negative"),
+    (lambda: oracle.check_slack_inner_min([0.6], 0.5, 1.0, n_perturbations=-1), ParameterError,
+     "n_perturbations must be non-negative"),
+    (lambda: oracle.check_slack_inner_min([], 0.5, 1.0), ShapeError,
+     r"g must be a non-empty vector, got shape \(0,\)"),
+    (lambda: oracle.check_slack_inner_min(np.ones((2, 2)), 0.5, 1.0), ShapeError,
+     r"g must be a non-empty vector, got shape \(2, 2\)"),
+    (lambda: oracle.check_slack_inner_min([0.6, 0.1], [0.5], 1.0), ShapeError,
+     r"eps must be a scalar or of g's length 2, got shape \(1,\)"),
+    (lambda: oracle.check_slack_inner_min([0.6, 0.1], 0.5, 1.0, lam=[0.1, 0.2, 0.3]), ShapeError,
+     r"lam must be a scalar or of g's length 2, got shape \(3,\)"),
+    (lambda: oracle.check_cserm_identity(n_trials=-1), ParameterError, "n_trials must be at least 1"),
+    (lambda: oracle.check_cserm_identity(n_trials=0), ParameterError, "n_trials must be at least 1"),
+    (lambda: oracle.gradient_check_report(n_draws=0), ParameterError, "n_draws must be at least 1"),
+    (lambda: oracle.gradient_check_report(families=()), ParameterError,
+     "families must name at least one model family"),
+], ids=["suite_no_trials", "suite_negative_perturbations", "check_negative_perturbations",
+        "empty_g", "matrix_g", "eps_length", "lam_length", "cserm_negative_trials",
+        "cserm_no_trials", "gradients_no_draws", "gradients_no_families"])
+def test_bad_oracle_input_is_a_parameter_error(call, error, match):
+    # each used to end in a bare NumPy error or a report that checked nothing
+    with pytest.raises(error, match=match):
+        call()
 
 
 def test_slack_inner_min_fails_on_non_optimal_slack(monkeypatch):

@@ -7,6 +7,10 @@ leaves ``bench/results/<workload>-seed<N>-trace<T>.json``. Then:
     python3 tools/bench_compare.py --parent PARENT/bench/results \\
         --change CHANGE/bench/results --out BENCH_<n>.json
 
+A parent checkout made with ``git archive`` has no .git, so its results carry
+no commit; ``--parent-commit SHA`` names it. The flag is refused (exit 2) when
+the parent's results carry a different commit.
+
 For every workload found with ``--trace 0`` on both sides, the output holds
 the seeds, the q1/median/q3 of each end-to-end metric on each side, in how
 many seed pairs the change was better, a verdict, and whether the per-job
@@ -31,6 +35,7 @@ import argparse
 import json
 import re
 import statistics
+import sys
 from pathlib import Path
 
 NAME = re.compile(r"^(?P<workload>.+)-seed(?P<seed>\d+)-trace(?P<trace>[01])\.json$")
@@ -122,9 +127,15 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True, help="change's bench/results")
     parser.add_argument("--spec", type=Path, default=Path("BENCHMARK.json"))
     parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--parent-commit", help="the parent's commit, when its results carry none")
     args = parser.parse_args(argv)
     spec = json.loads(args.spec.read_text())
     parent, change = _load(args.parent), _load(args.change)
+    recorded = {r["env"].get("commit") for runs in parent.values() for r in runs.values()} - {None}
+    if args.parent_commit is not None and recorded - {args.parent_commit}:
+        print(f"--parent-commit {args.parent_commit} differs from the parent's recorded commit "
+              f"{', '.join(sorted(recorded))}", file=sys.stderr)
+        return 2
     report = {"end_to_end": {}, "per_layer": {}}
     for (workload, trace), runs in sorted(parent.items()):
         other = change.get((workload, trace))
@@ -139,7 +150,7 @@ def main(argv=None) -> int:
     any_run = next(iter(next(iter(parent.values())).values()))
     report["env"] = {k: any_run["env"].get(k) for k in
                      ("python", "numpy", "scipy", "nproc", "cpus_usable", "blas_threads", "seconds")}
-    report["parent_commit"] = any_run["env"].get("commit")
+    report["parent_commit"] = any_run["env"].get("commit") or args.parent_commit
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     return 0
 
