@@ -52,6 +52,24 @@ def _checked_violations(g, spec, **operands) -> np.ndarray:
     return violations(g, spec)
 
 
+def _checked_alpha(alpha, *stacks) -> float | np.ndarray:
+    """``alpha`` as a positive float, or as an array of positive entries with
+    the leading shape that the (..., n) ``stacks`` broadcast to, one alpha per
+    row; NaN is not positive. The value functions call this only when alpha is
+    not a positive float already, so a positive float costs them one type test
+    and one comparison.
+    """
+    alpha = np.asarray(alpha, dtype=np.float64)
+    if alpha.ndim:
+        lead = np.broadcast_shapes(*(x.shape[:-1] for x in stacks))
+        if alpha.shape != lead:
+            raise ShapeError(f"alpha has shape {alpha.shape}, but the stack has "
+                             f"leading shape {lead}")
+    if not (alpha > 0).all():
+        raise ParameterError("alpha must be positive")
+    return alpha if alpha.ndim else float(alpha)
+
+
 def dual_step_rfl(lam, v, eta_lam: float, alpha: float, ids=None) -> np.ndarray:
     """Ascent with multiplier decay 1/alpha: [lam + eta * (v - lam/alpha)]_+.
 
@@ -63,9 +81,9 @@ def dual_step_rfl(lam, v, eta_lam: float, alpha: float, ids=None) -> np.ndarray:
     A non-finite result names its samples by ``ids`` (positions when None).
     The formula is :func:`dual_ascent`; this function adds the checks.
     """
-    if eta_lam <= 0:
+    if not eta_lam > 0:
         raise ParameterError("eta_lam must be positive")
-    if alpha <= 0:
+    if not alpha > 0:
         raise ParameterError("alpha must be positive")
     lam = np.asarray(lam, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
@@ -91,11 +109,12 @@ def lagrangian_alpha(g, spec, lam, alpha: float) -> float | np.ndarray:
     the plain Lagrangian term lam^T (g - eps) of fl.
     ``lam`` may be a stack (..., n): one value per row results, each bit-equal
     to this function on that row alone. A 1-D ``lam`` gives a float.
+    ``alpha`` is a number or one alpha per row (see :func:`_checked_alpha`).
     """
-    if alpha <= 0:
-        raise ParameterError("alpha must be positive")
     lam = np.asarray(lam, dtype=np.float64)
     v = _checked_violations(g, spec, lam=lam)
+    if type(alpha) is not float or not alpha > 0:
+        alpha = _checked_alpha(alpha, v, lam)
     value = np.vecdot(lam, v) - np.vecdot(lam, lam) / (2.0 * alpha)
     return float(value) if lam.ndim == 1 else value
 
@@ -106,12 +125,13 @@ def lagrangian_rfl_slack(g, spec, u, lam, alpha: float) -> float | np.ndarray:
     ``u`` and ``lam`` may be stacks (..., n) that broadcast together: the
     result holds one value per row, each bit-equal to this function on that
     row alone (every row is one BLAS dot product). A 1-D ``u`` gives a float.
+    ``alpha`` is a number or one alpha per row (see :func:`_checked_alpha`).
     """
-    if alpha <= 0:
-        raise ParameterError("alpha must be positive")
     u = np.asarray(u, dtype=np.float64)
     lam = np.asarray(lam, dtype=np.float64)
     v = _checked_violations(g, spec, u=u, lam=lam)
+    if type(alpha) is not float or not alpha > 0:
+        alpha = _checked_alpha(alpha, v, u, lam)
     value = 0.5 * alpha * np.vecdot(u, u) + np.vecdot(v - u, lam)
     return float(value) if u.ndim == 1 else value
 
@@ -122,10 +142,20 @@ def analytic_dual_opt(g, spec, alpha: float) -> np.ndarray:
     The maximizer is unique, so by the envelope theorem these are also the
     per-sample weights whose weighted loss gradient equals the gradient of
     :func:`cserm_objective`; the cserm trainer steps with them.
+    ``g`` may be a stack (..., n), and ``alpha`` a number or one alpha per row
+    (see :func:`_checked_alpha`). The formula is :func:`best_response`; this
+    function adds the checks.
     """
-    if alpha <= 0:
-        raise ParameterError("alpha must be positive")
-    return alpha * np.maximum(violations(g, spec), 0.0)
+    v = _checked_violations(g, spec)
+    if type(alpha) is not float or not alpha > 0:
+        alpha = _checked_alpha(alpha, v)
+    return best_response(v, alpha if type(alpha) is float else alpha[..., None])
+
+
+def best_response(v, alpha: float) -> np.ndarray:
+    """The formula of :func:`analytic_dual_opt` alone, on violations ``v``:
+    alpha * [v]_+, without its checks."""
+    return alpha * np.maximum(v, 0.0)
 
 
 def slack_view(lam, alpha: float) -> np.ndarray:
@@ -147,9 +177,11 @@ def cserm_objective(g, spec, alpha: float) -> float | np.ndarray:
     ``g`` may be a stack of loss vectors, shape (..., n): the result then
     holds one value per row, each bit-equal to this function called on that
     row alone (every row is one BLAS dot product). A 1-D ``g`` gives a float.
+    ``alpha`` is a number or one alpha per row (see :func:`_checked_alpha`).
     """
-    if alpha <= 0:
-        raise ParameterError("alpha must be positive")
-    clamped = np.maximum(_checked_violations(g, spec), 0.0)
+    v = _checked_violations(g, spec)
+    if type(alpha) is not float or not alpha > 0:
+        alpha = _checked_alpha(alpha, v)
+    clamped = np.maximum(v, 0.0)
     value = 0.5 * alpha * np.vecdot(clamped, clamped)
     return float(value) if clamped.ndim == 1 else value

@@ -20,6 +20,8 @@ from .data import Batch, CLASSIFICATION, REGRESSION
 from .errors import NumericError, ParameterError, ShapeError
 
 DEFAULT_FAMILIES = ("linear", "poly", "mlp_regressor", "mlp_classifier")
+# The most samples a random problem holds; it holds at least 3.
+MAX_ROWS = 11
 
 
 def finite_diff_grad(f, theta, h: float = 1e-6) -> np.ndarray:
@@ -34,7 +36,7 @@ def finite_diff_grad(f, theta, h: float = 1e-6) -> np.ndarray:
     h = 1e-6 roughly balances truncation against rounding for 64-bit values
     of order one.
     """
-    if h <= 0:
+    if not h > 0:
         raise ParameterError("h must be positive")
     theta = np.asarray(theta, dtype=np.float64)
     p = theta.size
@@ -55,7 +57,7 @@ def finite_diff_grad(f, theta, h: float = 1e-6) -> np.ndarray:
 
 def random_problem(family: str, rng: np.random.Generator):
     """Draw a small random (model, theta, batch, loss kind) instance of a family."""
-    n = int(rng.integers(3, 12))
+    n = int(rng.integers(3, MAX_ROWS + 1))
     if family == "linear":
         model = models.LinearModel(int(rng.integers(1, 6)))
         theta = rng.normal(size=model.n_params)
@@ -87,30 +89,40 @@ def check_cserm_identity(n_trials: int = 1000, tol: float = 1e-10, seed: int = 0
     plugged into lam^T (g - eps) - ||lam||^2 / (2 alpha) on one side, the
     direct penalty (alpha/2) ||[g - eps]_+||^2 on the other.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ParameterError("tol must be positive")
     if n_trials < 1:
         raise ParameterError("n_trials must be at least 1")
     rng = np.random.default_rng(seed)
-    discs = []
-    failures = []
+    # Draw every trial first, row t of the (n_trials, MAX_ROWS) arrays holding
+    # trial t's losses and bounds in its first n_t entries; then check the
+    # trials of each sample count n in one stack, one alpha per row. Each
+    # row's values are bit-equal to the same calls on that trial alone.
+    sizes = np.empty(n_trials, dtype=np.intp)
+    alphas = np.empty(n_trials)
+    losses, bounds = np.empty((2, n_trials, MAX_ROWS))
     for trial in range(n_trials):
         family = DEFAULT_FAMILIES[trial % len(DEFAULT_FAMILIES)]
         model, theta, batch, kind = random_problem(family, rng)
-        g = models.per_sample_loss(kind, model.forward(theta, batch.features), batch.targets)
+        n = sizes[trial] = len(batch)
+        losses[trial, :n] = models.per_sample_loss(kind, model.forward(theta, batch.features),
+                                                   batch.targets)
         if rng.random() < 0.5:
-            eps = float(rng.uniform(0.0, 1.5))
+            bounds[trial, :n] = rng.uniform(0.0, 1.5)
         else:
-            eps = rng.uniform(0.0, 1.5, size=g.shape)
-        alpha = float(10.0 ** rng.uniform(-2, 2))
+            bounds[trial, :n] = rng.uniform(0.0, 1.5, size=n)
+        alphas[trial] = 10.0 ** rng.uniform(-2, 2)
+
+    discs = np.empty(n_trials)
+    for n in sorted(set(sizes.tolist())):  # np.unique would import numpy.ma
+        rows = np.flatnonzero(sizes == n)
+        g, eps, alpha = losses[rows, :n], bounds[rows, :n], alphas[rows]
         lam_star = fs.analytic_dual_opt(g, eps, alpha)
-        lhs = fs.lagrangian_alpha(g, eps, lam_star, alpha)
-        rhs = fs.cserm_objective(g, eps, alpha)
-        disc = abs(lhs - rhs)
-        discs.append(disc)
-        if not disc <= tol:  # a NaN discrepancy fails too
-            failures.append({"trial": trial, "family": family, "alpha": alpha,
-                             "discrepancy": disc})
+        discs[rows] = np.abs(fs.lagrangian_alpha(g, eps, lam_star, alpha)
+                             - fs.cserm_objective(g, eps, alpha))
+    failures = [{"trial": trial, "family": DEFAULT_FAMILIES[trial % len(DEFAULT_FAMILIES)],
+                 "alpha": float(alphas[trial]), "discrepancy": float(discs[trial])}
+                for trial in np.flatnonzero(~(discs <= tol)).tolist()]  # a NaN fails too
     return {"check": "cserm_identity", "passed": not failures, "n_trials": n_trials,
             "tol": tol, "max_discrepancy": float(np.max(discs)), "failures": failures}
 
@@ -127,7 +139,7 @@ def check_slack_inner_min(g, eps, alpha: float, n_perturbations: int = 100,
         identically in lam, and at the analytic maximizer both orderings of
         the saddle agree with the clamped-and-squared objective.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ParameterError("tol must be positive")
     if n_perturbations < 0:
         raise ParameterError("n_perturbations must be non-negative")
@@ -210,6 +222,8 @@ def gradient_check_report(families=DEFAULT_FAMILIES, n_draws: int = 20,
         raise ParameterError("families must name at least one model family")
     if n_draws < 1:
         raise ParameterError("n_draws must be at least 1")
+    if not tol > 0:
+        raise ParameterError("tol must be positive")
     rng = np.random.default_rng(seed)
     out = {"check": "gradients", "tol": tol, "families": {}, "passed": True}
     for family in families:

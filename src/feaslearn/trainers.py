@@ -316,7 +316,7 @@ def _train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
                 if config.method == ERM:
                     weights = uniform[len(batch)]
                 elif config.method == CSERM:
-                    weights = fs.analytic_dual_opt(g, eps_b, config.alpha)
+                    weights = fs.best_response(v, config.alpha)
                 else:
                     lam_b = lam if full_batch else lam[batch.ids]
                     weights = fs.dual_ascent(lam_b, v, config.eta_lambda, config.alpha)

@@ -1,9 +1,10 @@
 import math
+import re
 import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from feaslearn import feasibility as fs
@@ -65,6 +66,15 @@ class TestDualSteps:
             fs.dual_step_rfl(np.zeros(1), np.zeros(1), 0.0, math.inf)
         with pytest.raises(ParameterError):
             fs.dual_step_rfl(np.zeros(1), np.zeros(1), 0.1, 0.0)
+
+    @pytest.mark.parametrize("eta,alpha,match", [
+        (math.nan, 1.0, "eta_lam must be positive"),
+        (0.1, math.nan, "alpha must be positive"),
+    ], ids=["nan_eta", "nan_alpha"])
+    def test_nan_step_is_a_parameter_error(self, eta, alpha, match):
+        # NaN used to pass both checks and end in a NumericError blaming the multipliers
+        with pytest.raises(ParameterError, match=match):
+            fs.dual_step_rfl(np.zeros(2), np.ones(2), eta, alpha)
 
     def test_non_finite_update_raises_numeric_error(self):
         with pytest.raises(NumericError):
@@ -162,16 +172,66 @@ class TestLagrangians:
             reference = float(lam @ v) - float(lam @ lam) / (2.0 * alpha)
             assert values[idx] == single == reference
 
-    @pytest.mark.parametrize("alpha", [0.0, -1.0])
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, 0, np.float32(-1.0), np.array(math.nan),
+                                       np.array([1.0, 0.0]), np.array([math.nan, 2.0])])
     @pytest.mark.parametrize("call", [
-        lambda alpha: fs.lagrangian_alpha([0.6], 0.5, [0.1], alpha),
-        lambda alpha: fs.lagrangian_rfl_slack([0.6], 0.5, [0.1], [0.1], alpha),
-        lambda alpha: fs.analytic_dual_opt([0.6], 0.5, alpha),
-        lambda alpha: fs.cserm_objective([0.6], 0.5, alpha),
+        lambda alpha: fs.lagrangian_alpha([0.6, 0.2], 0.5, [[0.1, 0.0], [0.2, 0.3]], alpha),
+        lambda alpha: fs.lagrangian_rfl_slack([0.6, 0.2], 0.5, [[0.1, 0.0], [0.0, 0.0]], [0.1, 0.0],
+                                              alpha),
+        lambda alpha: fs.analytic_dual_opt([[0.6, 0.2], [0.1, 0.9]], 0.5, alpha),
+        lambda alpha: fs.cserm_objective([[0.6, 0.2], [0.1, 0.9]], 0.5, alpha),
     ], ids=["lagrangian_alpha", "lagrangian_rfl_slack", "analytic_dual_opt", "cserm_objective"])
     def test_non_positive_alpha_is_rejected(self, call, alpha):
+        # NaN is not positive: it used to pass the check and turn the value into NaN
         with pytest.raises(ParameterError, match="alpha must be positive"):
             call(alpha)
+
+    @pytest.mark.parametrize("alpha,lead", [(np.ones(3), (2,)), (np.ones((2, 1)), (2,)),
+                                            (np.ones((1, 2)), (2,)), (np.ones(2), ())])
+    @pytest.mark.parametrize("name", ["lagrangian_alpha", "lagrangian_rfl_slack",
+                                      "analytic_dual_opt", "cserm_objective"])
+    def test_alpha_of_another_leading_shape_names_both_shapes(self, name, alpha, lead):
+        g = np.full((*lead, 2), 0.6)
+        call = {"lagrangian_alpha": lambda: fs.lagrangian_alpha(g, 0.5, g, alpha),
+                "lagrangian_rfl_slack": lambda: fs.lagrangian_rfl_slack(g, 0.5, g, g, alpha),
+                "analytic_dual_opt": lambda: fs.analytic_dual_opt(g, 0.5, alpha),
+                "cserm_objective": lambda: fs.cserm_objective(g, 0.5, alpha)}[name]
+        with pytest.raises(ShapeError, match=re.escape(f"alpha has shape {alpha.shape}, but the "
+                                                       f"stack has leading shape {lead}")):
+            call()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 12), n=st.integers(1, 12),
+           scalar_eps=st.lists(st.booleans(), min_size=12, max_size=12))
+    @example(seed=0, rows=1, n=1, scalar_eps=[True] * 12)
+    @example(seed=1, rows=1, n=9, scalar_eps=[False] * 12)
+    @example(seed=2, rows=12, n=1, scalar_eps=[False, True] * 6)
+    def test_per_row_alpha_equals_rows_bitwise(self, seed, rows, n, scalar_eps):
+        rng = np.random.default_rng(seed)
+        g = rng.uniform(0.0, 3.0, size=(rows, n))
+        # row s's bound: the scalar eps[s] filling the row, or a vector
+        eps = [float(rng.uniform(0.0, 1.5)) if scalar_eps[s] else rng.uniform(0.0, 1.5, n)
+               for s in range(rows)]
+        eps_rows = np.array([np.broadcast_to(e, n) for e in eps])
+        alpha = 10.0 ** rng.uniform(-2, 2, size=rows)
+        lam = rng.uniform(0.0, 2.0, size=(rows, n))
+        u = np.maximum(rng.normal(scale=0.5, size=(rows, n)), 0.0)
+        stacked = {
+            "lagrangian_alpha": fs.lagrangian_alpha(g, eps_rows, lam, alpha),
+            "lagrangian_rfl_slack": fs.lagrangian_rfl_slack(g, eps_rows, u, lam, alpha),
+            "analytic_dual_opt": fs.analytic_dual_opt(g, eps_rows, alpha),
+            "cserm_objective": fs.cserm_objective(g, eps_rows, alpha),
+        }
+        for s in range(rows):
+            a = float(alpha[s])
+            single = {
+                "lagrangian_alpha": fs.lagrangian_alpha(g[s], eps[s], lam[s], a),
+                "lagrangian_rfl_slack": fs.lagrangian_rfl_slack(g[s], eps[s], u[s], lam[s], a),
+                "analytic_dual_opt": fs.analytic_dual_opt(g[s], eps[s], a),
+                "cserm_objective": fs.cserm_objective(g[s], eps[s], a),
+            }
+            for name, value in single.items():
+                assert np.asarray(stacked[name][s]).tobytes() == np.asarray(value).tobytes(), name
 
     def test_regularized_hand_value(self):
         assert fs.lagrangian_alpha([0.6], 0.51, [0.18], 2.0) == pytest.approx(0.0081)
@@ -216,6 +276,21 @@ class TestAnalyticDualOpt:
     def test_formula(self):
         out = fs.analytic_dual_opt([0.6, 0.3], 0.51, 2.0)
         assert np.allclose(out, [0.18, 0.0])
+
+    @pytest.mark.parametrize("g,eps,match", [
+        # the first used to return two multipliers for one loss
+        ([0.4], [0.1, 0.2], "eps has length 2, but g has length 1"),
+        ([0.4, 0.5], [0.1, 0.2, 0.3], "eps has length 3, but g has length 2"),
+        (0.4, 0.1, "g has no sample axis"),
+    ], ids=["long_eps", "longer_eps", "scalar_g"])
+    def test_eps_of_another_length_is_a_shape_error(self, g, eps, match):
+        with pytest.raises(ShapeError, match=match):
+            fs.analytic_dual_opt(g, eps, 1.0)
+
+    def test_best_response_is_the_formula_on_violations(self):
+        g, eps = np.array([0.6, 0.3, 0.9]), np.array([0.51, 0.5, 0.2])
+        out = fs.best_response(fs.violations(g, eps), 2.0)
+        assert out.tobytes() == fs.analytic_dual_opt(g, eps, 2.0).tobytes()
 
     def test_feasible_gives_zero_vector(self):
         out = fs.analytic_dual_opt([0.1, 0.2], 0.5, 2.0)

@@ -29,8 +29,9 @@ def test_finite_diff_constant_function():
 
 
 def test_finite_diff_rejects_bad_step():
-    with pytest.raises(ParameterError):
-        oracle.finite_diff_grad(lambda thetas: np.zeros(len(thetas)), np.zeros(2), h=0.0)
+    for h in (0.0, math.nan):  # NaN used to pass the check
+        with pytest.raises(ParameterError, match="h must be positive"):
+            oracle.finite_diff_grad(lambda thetas: np.zeros(len(thetas)), np.zeros(2), h=h)
 
 
 def test_cserm_identity_hand_instance():
@@ -54,6 +55,53 @@ def test_cserm_identity_thousand_trials():
     report = oracle.check_cserm_identity(n_trials=1000, tol=1e-10, seed=0)
     assert report["passed"], report
     assert report["max_discrepancy"] <= 1e-10
+
+
+def _cserm_identity_one_trial_at_a_time(n_trials, tol, seed):
+    """Reference: check_cserm_identity as a loop with three value calls per trial."""
+    rng = np.random.default_rng(seed)
+    discs, failures = [], []
+    for trial in range(n_trials):
+        family = oracle.DEFAULT_FAMILIES[trial % len(oracle.DEFAULT_FAMILIES)]
+        model, theta, batch, kind = oracle.random_problem(family, rng)
+        g = models.per_sample_loss(kind, model.forward(theta, batch.features), batch.targets)
+        if rng.random() < 0.5:
+            eps = float(rng.uniform(0.0, 1.5))
+        else:
+            eps = rng.uniform(0.0, 1.5, size=g.shape)
+        alpha = float(10.0 ** rng.uniform(-2, 2))
+        lam_star = fs.analytic_dual_opt(g, eps, alpha)
+        disc = abs(fs.lagrangian_alpha(g, eps, lam_star, alpha) - fs.cserm_objective(g, eps, alpha))
+        discs.append(disc)
+        if not disc <= tol:
+            failures.append({"trial": trial, "family": family, "alpha": alpha, "discrepancy": disc})
+    return {"check": "cserm_identity", "passed": not failures, "n_trials": n_trials,
+            "tol": tol, "max_discrepancy": float(np.max(discs)), "failures": failures}
+
+
+@pytest.mark.parametrize("n_trials", [1, 5, 64])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_cserm_identity_equals_one_trial_at_a_time(seed, n_trials):
+    # at the smallest positive tol, every trial whose discrepancy exceeds one
+    # subnormal is a failure, so the lists compare the discrepancies bit by bit
+    expected = _cserm_identity_one_trial_at_a_time(n_trials, 5e-324, seed)
+    got = oracle.check_cserm_identity(n_trials=n_trials, tol=5e-324, seed=seed)
+    assert got == expected
+    assert all(type(f["trial"]) is int and type(f["discrepancy"]) is float for f in got["failures"])
+
+
+def test_cserm_identity_groups_by_sample_count(monkeypatch):
+    # one stacked call per value function and distinct sample count
+    calls = []
+    for name in ("analytic_dual_opt", "lagrangian_alpha", "cserm_objective"):
+        real = getattr(fs, name)
+        monkeypatch.setattr(fs, name, lambda *args, real=real, name=name:
+                            calls.append((name, np.shape(args[0]))) or real(*args))
+    oracle.check_cserm_identity(n_trials=200, seed=0)
+    sizes = sorted({shape[1] for _, shape in calls})
+    assert sizes == list(range(3, oracle.MAX_ROWS + 1))
+    assert len(calls) == 3 * len(sizes)
+    assert sum(shape[0] for name, shape in calls if name == "cserm_objective") == 200
 
 
 def test_slack_inner_min_zero_multipliers():
@@ -416,11 +464,13 @@ def test_random_problem_unknown_family():
         oracle.random_problem("resnet", np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-10])
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
 @pytest.mark.parametrize("check", [
     lambda tol: oracle.check_cserm_identity(n_trials=1, tol=tol),
     lambda tol: oracle.check_slack_inner_min([0.6, 0.1], 0.5, 1.0, n_perturbations=1, tol=tol),
-], ids=["check_cserm_identity", "check_slack_inner_min"])
+    lambda tol: oracle.gradient_check_report(n_draws=1, tol=tol),
+], ids=["check_cserm_identity", "check_slack_inner_min", "gradient_check_report"])
 def test_non_positive_tol_is_rejected(check, tol):
+    # a NaN tol used to pass the check; gradient_check_report had none and passed every draw
     with pytest.raises(ParameterError, match="tol must be positive"):
         check(tol)

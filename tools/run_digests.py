@@ -39,11 +39,17 @@ prints as
 
     <sha256>  compare-<pair>-seed_<s>/<file>
 
-Last comes the report file that the checkout's own
+Then comes the report file that the checkout's own
 `cli.verify("all", report_path=...)` writes, the file of
 `feaslearn verify all --report`, as
 
     <sha256>  verify_all/report.json
+
+and then P1's report at tol 5e-324, the smallest positive float, as
+sorted-key JSON: it lists every trial whose discrepancy exceeds that tol,
+where the report of `verify all` holds only the largest discrepancy:
+
+    <sha256>  verify_cserm_identity/all_trials.json
 
 So two checkouts train the same bits, abort with the same reasons and ids,
 write the same experiment summaries, clean up the same way after a failing
@@ -222,7 +228,7 @@ def main(argv=None) -> int:
     src = (args.checkout / "src").resolve()
     sys.path.insert(0, str(src))
     import numpy as np
-    from feaslearn import cli, data, models, trainers
+    from feaslearn import cli, data, models, oracle, trainers
     if not Path(cli.__file__).resolve().is_relative_to(src):
         print(f"feaslearn was imported from {cli.__file__}, not from {src}", file=sys.stderr)
         return 1
@@ -253,6 +259,9 @@ def main(argv=None) -> int:
         report = Path(tmp) / "verify_all.json"
         cli.verify("all", report_path=str(report))
         print(f"{hashlib.sha256(report.read_bytes()).hexdigest()}  verify_all/report.json")
+        identity = oracle.check_cserm_identity(n_trials=1000, tol=5e-324, seed=0)
+        raw = json.dumps(identity, sort_keys=True).encode()
+        print(f"{hashlib.sha256(raw).hexdigest()}  verify_cserm_identity/all_trials.json")
     return 0
 
 
