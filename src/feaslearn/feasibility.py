@@ -8,6 +8,16 @@ term vanishes and one code path serves both update rules.
 Slack variables are never stored: the inner minimization over slacks has
 the closed-form solution u = lam / alpha, so slacks are always derived on
 demand from the multipliers.
+
+The value functions (:func:`lagrangian_alpha`, :func:`lagrangian_rfl_slack`,
+:func:`analytic_dual_opt` and :func:`cserm_objective`) take g, eps, u and lam
+as vectors of length n or as stacks (..., n) whose leading axes broadcast
+together; a non-scalar eps, u or lam of another last-axis length is a
+ShapeError naming both lengths. alpha is a positive number or an array of
+the stack's leading shape, one alpha per row; NaN is not positive. Each row
+of a result is bit-equal to the call on that row alone (the products by
+alpha are elementwise and each row of a ``vecdot`` is one BLAS dot product).
+The three scalar values are each a float exactly when no stack axis is left.
 """
 
 from __future__ import annotations
@@ -32,11 +42,10 @@ def violations(g, spec) -> np.ndarray:
     return np.asarray(g, dtype=np.float64) - np.asarray(spec, dtype=np.float64)
 
 
-def _checked_violations(g, spec, **operands) -> np.ndarray:
-    """:func:`violations`, once a non-scalar ``spec`` and every named operand
-    have g's length on their last axis; leading stack axes still broadcast.
-    The value functions call this; the training step calls :func:`violations`
-    alone.
+def _checked(g, spec, alpha, **operands) -> tuple[np.ndarray, float | np.ndarray]:
+    """The violations g - eps and alpha of a value function, once the shapes
+    and alpha meet the module's contract. The training step calls
+    :func:`violations` alone. A positive float alpha skips the array checks.
     """
     g = np.asarray(g, dtype=np.float64)
     spec = np.asarray(spec, dtype=np.float64)
@@ -49,25 +58,18 @@ def _checked_violations(g, spec, **operands) -> np.ndarray:
         if x.shape[-1:] != (n,):
             got = f"length {x.shape[-1]}" if x.ndim else "no sample axis"
             raise ShapeError(f"{name} has {got}, but g has length {n}")
-    return violations(g, spec)
-
-
-def _checked_alpha(alpha, *stacks) -> float | np.ndarray:
-    """``alpha`` as a positive float, or as an array of positive entries with
-    the leading shape that the (..., n) ``stacks`` broadcast to, one alpha per
-    row; NaN is not positive. The value functions call this only when alpha is
-    not a positive float already, so a positive float costs them one type test
-    and one comparison.
-    """
+    v = violations(g, spec)
+    if type(alpha) is float and alpha > 0:
+        return v, alpha
     alpha = np.asarray(alpha, dtype=np.float64)
     if alpha.ndim:
-        lead = np.broadcast_shapes(*(x.shape[:-1] for x in stacks))
+        lead = np.broadcast_shapes(v.shape[:-1], *(x.shape[:-1] for x in operands.values()))
         if alpha.shape != lead:
             raise ShapeError(f"alpha has shape {alpha.shape}, but the stack has "
                              f"leading shape {lead}")
     if not (alpha > 0).all():
         raise ParameterError("alpha must be positive")
-    return alpha if alpha.ndim else float(alpha)
+    return v, alpha if alpha.ndim else float(alpha)
 
 
 def dual_step_rfl(lam, v, eta_lam: float, alpha: float, ids=None) -> np.ndarray:
@@ -107,33 +109,20 @@ def lagrangian_alpha(g, spec, lam, alpha: float) -> float | np.ndarray:
     Strictly concave in lam for finite alpha, so the inner maximization has
     the unique solution given by :func:`analytic_dual_opt`. alpha = inf gives
     the plain Lagrangian term lam^T (g - eps) of fl.
-    ``lam`` may be a stack (..., n): one value per row results, each bit-equal
-    to this function on that row alone. A 1-D ``lam`` gives a float.
-    ``alpha`` is a number or one alpha per row (see :func:`_checked_alpha`).
     """
     lam = np.asarray(lam, dtype=np.float64)
-    v = _checked_violations(g, spec, lam=lam)
-    if type(alpha) is not float or not alpha > 0:
-        alpha = _checked_alpha(alpha, v, lam)
+    v, alpha = _checked(g, spec, alpha, lam=lam)
     value = np.vecdot(lam, v) - np.vecdot(lam, lam) / (2.0 * alpha)
-    return float(value) if lam.ndim == 1 else value
+    return value if value.ndim else float(value)
 
 
 def lagrangian_rfl_slack(g, spec, u, lam, alpha: float) -> float | np.ndarray:
-    """Slack-form value (alpha/2)||u||^2 + lam^T (g - eps - u).
-
-    ``u`` and ``lam`` may be stacks (..., n) that broadcast together: the
-    result holds one value per row, each bit-equal to this function on that
-    row alone (every row is one BLAS dot product). A 1-D ``u`` gives a float.
-    ``alpha`` is a number or one alpha per row (see :func:`_checked_alpha`).
-    """
+    """Slack-form value (alpha/2)||u||^2 + lam^T (g - eps - u)."""
     u = np.asarray(u, dtype=np.float64)
     lam = np.asarray(lam, dtype=np.float64)
-    v = _checked_violations(g, spec, u=u, lam=lam)
-    if type(alpha) is not float or not alpha > 0:
-        alpha = _checked_alpha(alpha, v, u, lam)
+    v, alpha = _checked(g, spec, alpha, u=u, lam=lam)
     value = 0.5 * alpha * np.vecdot(u, u) + np.vecdot(v - u, lam)
-    return float(value) if u.ndim == 1 else value
+    return value if value.ndim else float(value)
 
 
 def analytic_dual_opt(g, spec, alpha: float) -> np.ndarray:
@@ -142,13 +131,9 @@ def analytic_dual_opt(g, spec, alpha: float) -> np.ndarray:
     The maximizer is unique, so by the envelope theorem these are also the
     per-sample weights whose weighted loss gradient equals the gradient of
     :func:`cserm_objective`; the cserm trainer steps with them.
-    ``g`` may be a stack (..., n), and ``alpha`` a number or one alpha per row
-    (see :func:`_checked_alpha`). The formula is :func:`best_response`; this
-    function adds the checks.
+    The formula is :func:`best_response`; this function adds the checks.
     """
-    v = _checked_violations(g, spec)
-    if type(alpha) is not float or not alpha > 0:
-        alpha = _checked_alpha(alpha, v)
+    v, alpha = _checked(g, spec, alpha)
     return best_response(v, alpha if type(alpha) is float else alpha[..., None])
 
 
@@ -174,14 +159,8 @@ def cserm_objective(g, spec, alpha: float) -> float | np.ndarray:
     Equals :func:`lagrangian_alpha` evaluated at :func:`analytic_dual_opt`;
     minimizing it over model parameters is equivalent to the slack-relaxed
     feasibility problem.
-    ``g`` may be a stack of loss vectors, shape (..., n): the result then
-    holds one value per row, each bit-equal to this function called on that
-    row alone (every row is one BLAS dot product). A 1-D ``g`` gives a float.
-    ``alpha`` is a number or one alpha per row (see :func:`_checked_alpha`).
     """
-    v = _checked_violations(g, spec)
-    if type(alpha) is not float or not alpha > 0:
-        alpha = _checked_alpha(alpha, v)
+    v, alpha = _checked(g, spec, alpha)
     clamped = np.maximum(v, 0.0)
     value = 0.5 * alpha * np.vecdot(clamped, clamped)
-    return float(value) if clamped.ndim == 1 else value
+    return value if value.ndim else float(value)

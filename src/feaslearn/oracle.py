@@ -128,11 +128,11 @@ def check_cserm_identity(n_trials: int = 1000, tol: float = 1e-10, seed: int = 0
 
 
 def check_slack_inner_min(g, eps, alpha: float, n_perturbations: int = 100,
-                          tol: float = 1e-10, seed: int = 0, lam=None) -> dict:
+                          tol: float = 1e-10, seed: int = 0) -> dict:
     """Verify slack elimination on one (g, eps, alpha) instance.
 
-    (a) For each multiplier vector (given, or random non-negative draws plus
-        the analytic maximizer), u = lam/alpha must minimize the slack-form
+    (a) For each multiplier vector (five random non-negative draws and the
+        analytic maximizer), u = lam/alpha must minimize the slack-form
         value: no perturbed u' >= 0 (coordinate grids around u plus joint
         random moves) may undercut it by more than tol.
     (b) The minimized value must equal the regularized dual value
@@ -146,14 +146,13 @@ def check_slack_inner_min(g, eps, alpha: float, n_perturbations: int = 100,
     g = np.asarray(g, dtype=np.float64)
     if g.ndim != 1 or g.size == 0:
         raise ShapeError(f"g must be a non-empty vector, got shape {g.shape}")
-    for name, x in (("eps", eps), ("lam", lam)):
-        if np.ndim(x) and np.shape(x) != g.shape:
-            raise ShapeError(f"{name} must be a scalar or of g's length {g.size}, "
-                             f"got shape {np.shape(x)}")
+    if np.ndim(eps) and np.shape(eps) != g.shape:
+        raise ShapeError(f"eps must be a scalar or of g's length {g.size}, "
+                         f"got shape {np.shape(eps)}")
     n, points = g.size, 21
     rng = np.random.default_rng(seed)
-    lams = np.empty((6 if lam is None else 2, n))
-    lams[:-1] = rng.uniform(0.0, 2.0, size=(5, n)) if lam is None else lam
+    lams = np.empty((6, n))
+    lams[:-1] = rng.uniform(0.0, 2.0, size=(5, n))
     lams[-1] = fs.analytic_dual_opt(g, eps, alpha)
     u_opt = fs.slack_view(lams, alpha)
     base = fs.lagrangian_rfl_slack(g, eps, u_opt, lams, alpha)

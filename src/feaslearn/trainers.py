@@ -144,7 +144,7 @@ _META_FIELDS = ("status", "abort_reason", "abort", "wall_clock_s", "train_pass_c
 
 
 class _Sgd:
-    def __init__(self, weight_decay: float = 0.0):
+    def __init__(self, weight_decay: float):
         self.weight_decay = weight_decay
 
     def step(self, theta, grad, lr):
@@ -152,7 +152,7 @@ class _Sgd:
 
 
 class _SgdMomentum:
-    def __init__(self, momentum: float = 0.9, weight_decay: float = 0.0):
+    def __init__(self, momentum: float, weight_decay: float):
         self.momentum = momentum
         self.weight_decay = weight_decay
         self.buf = None
@@ -174,7 +174,7 @@ class _AdamW:
     m = beta1 * m + (1 - beta1) * g and v = beta2 * v + (1 - beta2) * g * g.
     """
 
-    def __init__(self, weight_decay: float = 0.0):
+    def __init__(self, weight_decay: float):
         self.weight_decay = weight_decay
         self.beta1, self.beta2, self.stabilizer = (ADAMW_DEFAULTS[k] for k in ("beta1", "beta2", "stabilizer"))
         self.m = None

@@ -233,6 +233,36 @@ class TestLagrangians:
             for name, value in single.items():
                 assert np.asarray(stacked[name][s]).tobytes() == np.asarray(value).tobytes(), name
 
+    @pytest.mark.parametrize("alpha", [1.5, np.float64(1.5)], ids=["float", "numpy"])
+    @pytest.mark.parametrize("name,n_operands,stacked,shape", [
+        ("lagrangian_alpha", 3, 0, (2, 3)),
+        ("lagrangian_rfl_slack", 4, 3, (3, 2)),
+        ("lagrangian_alpha", 3, 1, (2, 3)),
+    ], ids=["alpha_stacked_g", "slack_stacked_lam", "alpha_stacked_eps"])
+    def test_a_stack_on_any_operand_gives_one_value_per_row(self, name, n_operands, stacked, shape,
+                                                            alpha):
+        # the result type used to follow lam's or u's ndim alone, so a stack on
+        # g, eps or lam next to a 1-D lam or u ended in a bare TypeError
+        rng = np.random.default_rng(stacked)
+        args = [rng.uniform(0.0, 2.0, shape[-1]) for _ in range(n_operands)]
+        args[stacked] = rng.uniform(0.0, 2.0, shape)
+        values = getattr(fs, name)(*args, alpha)
+        assert values.shape == shape[:-1]
+        for s in range(shape[0]):
+            row = args.copy()
+            row[stacked] = args[stacked][s]
+            single = getattr(fs, name)(*row, alpha)
+            assert type(single) is float
+            assert values[s].tobytes() == np.float64(single).tobytes()
+
+    @pytest.mark.parametrize("alpha", [1.5, np.float64(1.5), np.array(1.5)],
+                             ids=["float", "numpy", "0-d"])
+    def test_vectors_give_a_float(self, alpha):
+        g, lam, u = [0.6, 0.2, 0.9], [0.3, 0.0, 1.2], [0.1, 0.4, 0.0]
+        assert type(fs.lagrangian_alpha(g, 0.5, lam, alpha)) is float
+        assert type(fs.lagrangian_rfl_slack(g, 0.5, u, lam, alpha)) is float
+        assert type(fs.cserm_objective(g, 0.5, alpha)) is float
+
     def test_regularized_hand_value(self):
         assert fs.lagrangian_alpha([0.6], 0.51, [0.18], 2.0) == pytest.approx(0.0081)
 

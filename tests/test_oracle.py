@@ -105,10 +105,13 @@ def test_cserm_identity_groups_by_sample_count(monkeypatch):
 
 
 def test_slack_inner_min_zero_multipliers():
-    report = oracle.check_slack_inner_min(np.array([0.4]), 0.2, 2.0, lam=np.array([0.0]))
+    # g = 0.4 meets eps = 0.5, so the maximizer row alpha [g - eps]_+ is lam = 0
+    assert fs.analytic_dual_opt([0.4], 0.5, 2.0).tolist() == [0.0]
+    report = oracle.check_slack_inner_min(np.array([0.4]), 0.5, 2.0)
     assert report["passed"]
+    assert report["saddle_discrepancy"] == 0.0
     # with lam = 0 the inner minimum sits at u = 0 with value 0
-    assert fs.lagrangian_rfl_slack([0.4], 0.2, [0.0], [0.0], 2.0) == 0.0
+    assert fs.lagrangian_rfl_slack([0.4], 0.5, [0.0], [0.0], 2.0) == 0.0
 
 
 def test_slack_inner_min_hand_grid():
@@ -139,16 +142,12 @@ def test_slack_elimination_suite_passes():
     assert report["passed"], report
 
 
-def _slack_inner_min_one_call_per_candidate(g, eps, alpha, n_perturbations, tol, seed, lam=None):
+def _slack_inner_min_one_call_per_candidate(g, eps, alpha, n_perturbations, tol, seed):
     """Reference: check_slack_inner_min as a loop with one value call per candidate."""
     g = np.asarray(g, dtype=np.float64)
     rng = np.random.default_rng(seed)
     lam_star = fs.analytic_dual_opt(g, eps, alpha)
-    if lam is not None:
-        lam_draws = [np.asarray(lam, dtype=np.float64)]
-    else:
-        lam_draws = [rng.uniform(0.0, 2.0, size=g.shape) for _ in range(5)]
-    lam_draws.append(lam_star)
+    lam_draws = [rng.uniform(0.0, 2.0, size=g.shape) for _ in range(5)] + [lam_star]
     worst_gap, worst_identity = -math.inf, 0.0
     for lam_vec in lam_draws:
         u_opt = fs.slack_view(lam_vec, alpha)
@@ -178,12 +177,11 @@ def test_slack_inner_min_matches_per_candidate_loop(case):
     g = rng.uniform(0.0, 3.0, n)
     eps = rng.uniform(0.0, 1.5, n) if case % 2 else float(rng.uniform(0.0, 1.5))
     alpha = float(10.0 ** rng.uniform(-2, 2))
-    lam = rng.uniform(0.0, 2.0, n) if case % 3 == 0 else None
     n_perturbations = 0 if case % 4 == 1 else int(rng.integers(1, 120))
     seed = int(rng.integers(0, 2**31))
-    expected = _slack_inner_min_one_call_per_candidate(g, eps, alpha, n_perturbations, 1e-10, seed, lam)
+    expected = _slack_inner_min_one_call_per_candidate(g, eps, alpha, n_perturbations, 1e-10, seed)
     got = oracle.check_slack_inner_min(g, eps, alpha, n_perturbations=n_perturbations,
-                                       tol=1e-10, seed=seed, lam=lam)
+                                       tol=1e-10, seed=seed)
     assert got == expected
     assert got["passed"]
 
@@ -192,13 +190,6 @@ def test_suite_at_verify_defaults_equals_per_candidate_reference(monkeypatch):
     stacked = oracle.slack_elimination_suite()
     monkeypatch.setattr(oracle, "check_slack_inner_min", _slack_inner_min_one_call_per_candidate)
     assert oracle.slack_elimination_suite() == stacked
-
-
-def test_scalar_lam_is_every_coordinate():
-    scalar = oracle.check_slack_inner_min([0.6, 0.1, 0.9], 0.5, 1.0, n_perturbations=10, lam=0.3)
-    assert scalar == oracle.check_slack_inner_min([0.6, 0.1, 0.9], 0.5, 1.0, n_perturbations=10,
-                                                  lam=[0.3, 0.3, 0.3])
-    assert scalar["passed"]
 
 
 @pytest.mark.parametrize("call,error,match", [
@@ -213,15 +204,13 @@ def test_scalar_lam_is_every_coordinate():
      r"g must be a non-empty vector, got shape \(2, 2\)"),
     (lambda: oracle.check_slack_inner_min([0.6, 0.1], [0.5], 1.0), ShapeError,
      r"eps must be a scalar or of g's length 2, got shape \(1,\)"),
-    (lambda: oracle.check_slack_inner_min([0.6, 0.1], 0.5, 1.0, lam=[0.1, 0.2, 0.3]), ShapeError,
-     r"lam must be a scalar or of g's length 2, got shape \(3,\)"),
     (lambda: oracle.check_cserm_identity(n_trials=-1), ParameterError, "n_trials must be at least 1"),
     (lambda: oracle.check_cserm_identity(n_trials=0), ParameterError, "n_trials must be at least 1"),
     (lambda: oracle.gradient_check_report(n_draws=0), ParameterError, "n_draws must be at least 1"),
     (lambda: oracle.gradient_check_report(families=()), ParameterError,
      "families must name at least one model family"),
 ], ids=["suite_no_trials", "suite_negative_perturbations", "check_negative_perturbations",
-        "empty_g", "matrix_g", "eps_length", "lam_length", "cserm_negative_trials",
+        "empty_g", "matrix_g", "eps_length", "cserm_negative_trials",
         "cserm_no_trials", "gradients_no_draws", "gradients_no_families"])
 def test_bad_oracle_input_is_a_parameter_error(call, error, match):
     # each used to end in a bare NumPy error or a report that checked nothing

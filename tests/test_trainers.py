@@ -751,7 +751,7 @@ class TestOptimizers:
         assert np.array_equal(sgd.step(theta, np.zeros(2), lr=0.5), theta)
 
     def test_sgd_momentum_accumulates(self):
-        opt = trainers._SgdMomentum(momentum=0.5)
+        opt = trainers._SgdMomentum(momentum=0.5, weight_decay=0.0)
         theta = np.zeros(1)
         theta = opt.step(theta, np.array([1.0]), lr=1.0)   # buf = 1
         theta2 = opt.step(theta, np.array([1.0]), lr=1.0)  # buf = 1.5
