@@ -285,13 +285,13 @@ def batch_iter(dataset: Dataset | Batch, batch_size: int, epoch_seed: int,
     A Dataset's rows are in id order, so each of its batches' ids are also
     their row positions. A full batch (``batch_size == n``) is the rows as
     they are, without a copy and without a draw from the RNG: a permutation
-    would only change the order of the sums.
+    would only change the order of the sums. A Batch is its own full batch.
     """
     n = len(dataset.ids)
     if batch_size < 1 or batch_size > n:
         raise ParameterError(f"batch_size must lie in 1..{n}")
     if batch_size == n:
-        yield Batch(ids=dataset.ids, features=dataset.features, targets=dataset.targets)
+        yield dataset if type(dataset) is Batch else Batch(dataset.ids, dataset.features, dataset.targets)
         return
     perm = epoch_rng(epoch_seed, rng).permutation(n)
     for start in range(0, n, batch_size):

@@ -170,29 +170,33 @@ class _SgdMomentum:
 class _AdamW:
     """Per-coordinate second-moment scaling with decoupled weight decay.
 
-    The moments are updated in place, in the order of the formulas
-    m = beta1 * m + (1 - beta1) * g and v = beta2 * v + (1 - beta2) * g * g.
+    The moments m and v are the rows of one array, each call updating both in
+    place in the order of m = beta1 * m + (1 - beta1) * g and v = beta2 * v +
+    (1 - beta2) * g * g, with beta and 1 - beta as (2, 1) columns.
     """
 
     def __init__(self, weight_decay: float):
         self.weight_decay = weight_decay
         self.beta1, self.beta2, self.stabilizer = (ADAMW_DEFAULTS[k] for k in ("beta1", "beta2", "stabilizer"))
-        self.m = None
-        self.v = None
+        self.betas = np.array([[self.beta1], [self.beta2]])
+        self.one_minus_betas = 1.0 - self.betas
+        self.moments = None
         self.t = 0
 
     def step(self, theta, grad, lr):
-        if self.m is None:
-            self.m = np.zeros_like(theta)
-            self.v = np.zeros_like(theta)
+        if self.moments is None:
+            self.moments = np.zeros((2, len(theta)))
         self.t += 1
-        self.m *= self.beta1
-        self.m += (1.0 - self.beta1) * grad
-        self.v *= self.beta2
-        self.v += (1.0 - self.beta2) * grad * grad
-        m_hat = self.m / (1.0 - self.beta1 ** self.t)
-        v_hat = self.v / (1.0 - self.beta2 ** self.t)
-        theta = theta * (1.0 - lr * self.weight_decay)
+        self.moments *= self.betas
+        update = self.one_minus_betas * grad
+        update[1] *= grad
+        self.moments += update
+        del update  # freed before the temporaries below: one (2, P) array at a time
+        m_hat = self.moments[0] / (1.0 - self.beta1 ** self.t)
+        v_hat = self.moments[1] / (1.0 - self.beta2 ** self.t)
+        decay = 1.0 - lr * self.weight_decay
+        if decay != 1.0:  # theta * 1.0 is theta
+            theta = theta * decay
         return theta - lr * m_hat / (np.sqrt(v_hat) + self.stabilizer)
 
 
@@ -217,27 +221,31 @@ def _accuracy(preds, targets, kind) -> float:
 
 
 def _forward(model, theta, rows: Batch, kind, workspace: models.Workspace | None = None, grad=False):
-    """(preds, cache, per-sample losses, loss gradient if ``grad`` else None)
-    of one forward pass over ``rows``; preds and cache live in ``workspace``
-    until its next forward pass. Non-finite losses, non-finite cross-entropy
-    logits and a label beyond the output width raise the error of the checked
-    ``per_sample_loss``, which names the samples.
+    """(preds, cache, per-sample losses, loss gradient if ``grad`` else None,
+    sum of the losses) of one forward pass over ``rows``; preds and cache live
+    in ``workspace`` until its next forward pass. Non-finite losses, non-finite
+    cross-entropy logits and a label beyond the output width raise the error
+    of the checked ``per_sample_loss``, which names the samples.
     """
     preds, cache = model.forward_cache(theta, rows.features, workspace)
     try:
         losses, dpred = (models.loss_kernel(kind, preds, rows.targets, grad=True) if grad
                          else (models.loss_kernel(kind, preds, rows.targets), None))
+        total = float(np.add.reduce(losses))
     except IndexError:
-        losses = None
-    if losses is None or not np.isfinite(losses).all() or (
-            kind == models.CROSS_ENTROPY and not np.isfinite(preds).all()):
+        losses, total = None, math.nan
+    # Any non-finite entry makes the sum non-finite; then the checked function decides.
+    if not math.isfinite(total) or (
+            kind == models.CROSS_ENTROPY and not math.isfinite(np.add.reduce(preds, axis=None))):
         losses = models.per_sample_loss(kind, preds, rows.targets, rows.ids)
-    return preds, cache, losses, dpred
+        total = float(np.add.reduce(losses))
+    return preds, cache, losses, dpred, total
 
 
 def _eval_split(model, theta, rows: Batch, kind, workspace: models.Workspace | None = None):
-    preds, _, losses, _ = _forward(model, theta, rows, kind, workspace)
-    return losses, _accuracy(preds, rows.targets, kind)
+    """(losses, accuracy, sum of the losses) of a forward pass over ``rows``."""
+    preds, _, losses, _, total = _forward(model, theta, rows, kind, workspace)
+    return losses, _accuracy(preds, rows.targets, kind), total
 
 
 def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
@@ -269,6 +277,7 @@ def _train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
         raise ParameterError(f"eps must be a scalar or a length-{n} vector")
     theta = model.init_params(config.seed)
     lam = np.zeros(n)
+    weights_max = 0.0  # of fl/rfl's latest weights: lam's max after a full-batch step
     optimizer = _make_optimizer(config)
     batch_size = config.batch_size if config.batch_size is not None else n
     full_batch = batch_size == n  # every step takes all rows, in id order
@@ -301,17 +310,17 @@ def _train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
             for batch in batch_iter(train_rows, batch_size, epoch_seed, shuffle_rng):
                 t0 = clock()
                 if ahead is not None:
-                    (_, cache, g, dpred), ahead = ahead, None
+                    (_, cache, g, dpred, _), ahead = ahead, None
                     if not full_batch:
                         cache = model.cache_rows(cache, batch.ids, batch.features)
                         g, dpred = g[batch.ids], dpred[batch.ids]
                 else:
-                    _, cache, g, dpred = _forward(model, theta, batch, kind, train_ws, grad=True)
+                    _, cache, g, dpred, _ = _forward(model, theta, batch, kind, train_ws, grad=True)
                 passes["forward"] += 1
                 t1 = clock()
                 eps_b = eps if full_batch else eps[batch.ids]
                 v = fs.violations(g, eps_b)
-                max_step_violation = max(max_step_violation, float(v.max()))
+                max_step_violation = max(max_step_violation, float(np.maximum.reduce(v)))
 
                 if config.method == ERM:
                     weights = uniform[len(batch)]
@@ -321,7 +330,8 @@ def _train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
                     lam_b = lam if full_batch else lam[batch.ids]
                     weights = fs.dual_ascent(lam_b, v, config.eta_lambda, config.alpha)
                     # One reduction for both checks: NaN fails the comparison, +inf exceeds.
-                    blown_up = not weights.max() <= fs.BLOWUP_THRESHOLD
+                    weights_max = np.maximum.reduce(weights)
+                    blown_up = not weights_max <= fs.BLOWUP_THRESHOLD
                     if blown_up:
                         # raises on a non-finite multiplier, naming its samples
                         fs.dual_step_rfl(lam_b, v, config.eta_lambda, config.alpha, batch.ids)
@@ -343,7 +353,8 @@ def _train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
                 if config.cosine_decay:
                     lr *= 0.5 * (1.0 + math.cos(math.pi * step_idx / total_steps))
                 theta = optimizer.step(theta, grad, lr)
-                if not np.isfinite(theta).all():
+                # As in _forward: the entries decide only when the sum is not finite.
+                if not math.isfinite(np.add.reduce(theta)) and not np.isfinite(theta).all():
                     raise NumericError("parameters became non-finite after primal step")
                 step_idx += 1
                 t4 = clock()
@@ -363,25 +374,27 @@ def _train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
                 t1 = clock()  # the next step's forward, timed as one
                 t_forward += t1 - t0
                 t0 = t1
-                train_losses, train_acc = ahead[2], _accuracy(ahead[0], train_rows.targets, kind)
+                preds, _, train_losses, _, train_total = ahead
+                train_acc = _accuracy(preds, train_rows.targets, kind)
             else:
-                train_losses, train_acc = _eval_split(model, theta, train_rows, kind, train_ws)
+                train_losses, train_acc, train_total = _eval_split(model, theta, train_rows, kind, train_ws)
             test_eval = (_eval_split(model, theta, test_rows, kind, test_ws)
                          if test_rows is not None else None)
         except NumericError as err:
             abort_reason = f"epoch-end evaluation failed: {err}"
             abort = {"epoch": epoch, "step": step_idx, "ids": err.ids}
             break
-        # sum / n and count / n are the IEEE operations np.mean performs, so
-        # they give its bits without its per-call overhead.
+        # sum / n and count / n are the IEEE operations np.mean performs, and ndarray.sum,
+        # .min and .max call the ufuncs' reduce: their bits without the per-call overhead.
         if lam_stats is None or config.method in (FL, RFL):
-            lam_stats = {"lam_min": float(lam.min()), "lam_mean": float(lam.sum()) / n,
-                         "lam_max": float(lam.max()),
+            lam_max = weights_max if full_batch else np.maximum.reduce(lam)
+            lam_stats = {"lam_min": float(np.minimum.reduce(lam)),
+                         "lam_mean": float(np.add.reduce(lam)) / n, "lam_max": float(lam_max),
                          "lam_frac_zero": int(np.count_nonzero(lam <= fs.ZERO_MULTIPLIER_TOL)) / n}
         row = {
             "epoch": epoch,
-            "train_mean_loss": float(train_losses.sum()) / n,
-            "train_max_loss": float(train_losses.max()),
+            "train_mean_loss": train_total / n,
+            "train_max_loss": float(np.maximum.reduce(train_losses)),
             "train_accuracy": train_acc,
             "sat_fraction": int(np.count_nonzero(train_losses <= sat_bound)) / n,
             "max_step_violation": max_step_violation,
@@ -391,9 +404,9 @@ def _train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
             "test_accuracy": math.nan,
         }
         if test_eval is not None:
-            test_losses, test_acc = test_eval
-            row["test_mean_loss"] = float(test_losses.sum()) / len(test_losses)
-            row["test_max_loss"] = float(test_losses.max())
+            test_losses, test_acc, test_total = test_eval
+            row["test_mean_loss"] = test_total / len(test_losses)
+            row["test_max_loss"] = float(np.maximum.reduce(test_losses))
             row["test_accuracy"] = test_acc
         trajectory.append(row)
         t_eval += clock() - t0
@@ -404,9 +417,9 @@ def _train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
     else:
         t0 = clock()
         try:
-            final_train, _ = _eval_split(model, theta, train_rows, kind, train_ws)
+            final_train = _eval_split(model, theta, train_rows, kind, train_ws)[0]
             if test_rows is not None:
-                final_test, _ = _eval_split(model, theta, test_rows, kind, test_ws)
+                final_test = _eval_split(model, theta, test_rows, kind, test_ws)[0]
         except NumericError:
             pass  # aborted runs keep whatever is computable
         t_eval += clock() - t0

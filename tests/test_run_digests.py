@@ -1,6 +1,7 @@
 """tools/run_digests.py, the bit-identity check between two checkouts, run on
 this checkout: it must finish, print the same digests twice, and print the
-pinned digest of the `feaslearn verify all --report` file."""
+pinned digests of the `feaslearn verify all --report` file and of three P8
+training runs (AdamW without and with weight decay) at two epochs."""
 
 import subprocess
 import sys
@@ -8,6 +9,17 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 VERIFY_ALL = "2ae42d2ec4d4ebf7014c67b9cfceb676f6bd3686e80427a532a9cc1acba2726a  verify_all/report.json"
+# Polynomial runs, whose bytes do not depend on the BLAS thread count.
+P8_RUNS = [
+    "4a1e351ce47f7dce6925f08840a67e93ea24c61217cf22da871a66927bba1caa  outlier_regression_erm-as_given/trajectory.csv",
+    "3e21940c212cc2a648055c04e5757464e13adc426c090b02a34bd5366a466ad0  outlier_regression_erm-as_given/checkpoint.bin",
+    "680af28b4c8aa3fdde086e1db81b74463b5d69e6aa43e69e090e13bd25c03c6d  outlier_regression_rfl-as_given/trajectory.csv",
+    "eaf78e435576422df595dfb50b2c9ca5a54b5103131d9530bdc7cfed9387581c  outlier_regression_rfl-as_given/checkpoint.bin",
+    "f8c8ad20df4f28216b734222a48f0dda58daf526300e58f535962a33b08bbe26  "
+    "outlier_regression_rfl-adamw_wd_cosine/trajectory.csv",
+    "4b0c7c6313382fd2f244aef6fcd74f8b1eeee9ab0cb2f8d05c69a2d460229a08  "
+    "outlier_regression_rfl-adamw_wd_cosine/checkpoint.bin",
+]
 
 
 def _digests() -> list[str]:
@@ -17,7 +29,8 @@ def _digests() -> list[str]:
     return out.stdout.splitlines()
 
 
-def test_two_runs_print_the_same_digests_and_the_pinned_verify_report():
+def test_two_runs_print_the_same_digests_and_the_pinned_ones():
     first = _digests()
     assert first == _digests()
     assert VERIFY_ALL in first
+    assert [line for line in P8_RUNS if line not in first] == []

@@ -758,6 +758,40 @@ class TestOptimizers:
         assert theta[0] == pytest.approx(-1.0)
         assert theta2[0] == pytest.approx(-2.5)
 
+    @staticmethod
+    def _adamw_one_moment_at_a_time(steps, theta, weight_decay):
+        # The formulas with m and v as two arrays, each operation on one of them.
+        beta1, beta2, stabilizer = (trainers.ADAMW_DEFAULTS[k] for k in ("beta1", "beta2", "stabilizer"))
+        m, v, out = np.zeros_like(theta), np.zeros_like(theta), []
+        for t, (grad, lr) in enumerate(steps, 1):
+            m *= beta1
+            m += (1.0 - beta1) * grad
+            v *= beta2
+            v += (1.0 - beta2) * grad * grad
+            m_hat = m / (1.0 - beta1 ** t)
+            v_hat = v / (1.0 - beta2 ** t)
+            theta = theta * (1.0 - lr * weight_decay)
+            theta = theta - lr * m_hat / (np.sqrt(v_hat) + stabilizer)
+            out.append(theta)
+        return out
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_params=st.integers(1, 12), n_steps=st.integers(1, 30), seed=st.integers(0, 2**16),
+           weight_decay=st.sampled_from([0.0, 1e-2, 0.5]), scale=st.sampled_from([1e-3, 1.0, 1e150]))
+    def test_adamw_equals_the_formulas_one_moment_at_a_time(self, n_params, n_steps, seed,
+                                                            weight_decay, scale):
+        # lr 0 makes the decay factor 1.0; scale 1e150 overflows g * g.
+        rng = np.random.default_rng(seed)
+        steps = [(scale * rng.normal(size=n_params), float(rng.choice([0.0, 1e-3, 0.1])))
+                 for _ in range(n_steps)]
+        theta = rng.normal(size=n_params)
+        optimizer = trainers._AdamW(weight_decay)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = self._adamw_one_moment_at_a_time(steps, theta, weight_decay)
+            for (grad, lr), want in zip(steps, expected):
+                theta = optimizer.step(theta, grad, lr)
+                assert theta.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("optimizer", [trainers._Sgd(0.1), trainers._SgdMomentum(0.5, 0.1),
                                            trainers._AdamW(0.1)], ids=["sgd", "sgd_momentum", "adamw"])
     def test_step_returns_a_new_theta_and_leaves_its_argument_alone(self, optimizer):
@@ -1045,3 +1079,140 @@ class TestLabelRange:
         cfg = TrainerConfig(method="erm", eta_theta=0.1, epochs=1, seed=0)
         with pytest.raises(ParameterError, match=r"samples \[2\]"):
             train(cfg, models.MLP((2, 3, 2)), ds)
+
+
+class TestSumBasedChecks:
+    """The finiteness checks of a step: a finite array passes even when its sum
+    overflows, and any NaN or infinity aborts with the record of the checked
+    functions."""
+
+    @pytest.mark.parametrize("batch_size", [None, 4])
+    @pytest.mark.parametrize("method", ["erm", "fl", "rfl"])
+    def test_losses_that_overflow_only_in_their_sum_complete(self, method, batch_size):
+        # Each squared error, (4.5e153)^2 ~ 2.0e307, is finite; ten of them sum
+        # past the largest float64. eps above them keeps every multiplier at 0.
+        n = 10
+        ds = data.Dataset(features=np.ones((n, 1)), targets=np.full(n, 4.5e153), ids=np.arange(n),
+                          task=data.REGRESSION)
+        cfg = TrainerConfig(method=method, eta_theta=1e-170, eta_lambda=0.1, alpha=1.0, eps=3e307,
+                            batch_size=batch_size, epochs=3, primal_optimizer="adamw", seed=0)
+        record = train(cfg, models.LinearModel(1), ds, ds)
+        assert record.status == "completed" and record.abort is None
+        assert np.isfinite(record.train_losses).all() and np.isfinite(record.params.theta).all()
+        for row in record.trajectory:
+            assert row["train_mean_loss"] == row["test_mean_loss"] == math.inf
+            assert row["train_max_loss"] == row["test_max_loss"] == float(record.train_losses.max())
+            assert row["sat_fraction"] == 1.0
+
+    @pytest.mark.parametrize("optimizer", trainers.OPTIMIZERS)
+    def test_parameters_that_overflow_only_in_their_sum_do_not_abort(self, optimizer):
+        # Each row predicts 1e308 - 1e308 = 0, its target, so the gradient is
+        # zero and the steps keep theta, whose sum is +inf.
+        ds = data.Dataset(features=np.array([[1.0, -1.0], [-1.0, 1.0]]), targets=np.zeros(2),
+                          ids=np.arange(2), task=data.REGRESSION)
+        model = models.LinearModel(2)
+        theta = np.array([1e308, 1e308])
+        cfg = TrainerConfig(method="erm", eta_theta=0.1, epochs=3, primal_optimizer=optimizer,
+                            weight_decay=0.0, seed=0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "init_params", lambda seed: theta.copy())
+            record = train(cfg, model, ds)
+        assert record.status == "completed"
+        assert np.array_equal(record.params.theta, theta)
+        assert [row["train_mean_loss"] for row in record.trajectory] == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("batch_size, first_bad, reason, abort", [
+        (None, 1, "non-finite losses for samples [2]", {"epoch": 0, "step": 0, "ids": [2]}),
+        (None, 2, "epoch-end evaluation failed: non-finite losses for samples [2]",
+         {"epoch": 0, "step": 1, "ids": [2]}),
+        (2, 1, "non-finite losses for samples [2]", {"epoch": 0, "step": 0, "ids": [2]}),
+        (2, 2, "epoch-end evaluation failed: non-finite losses for samples [2]",
+         {"epoch": 0, "step": 2, "ids": [2]}),
+    ])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_loss_aborts_naming_its_sample(self, monkeypatch, bad, batch_size,
+                                                        first_bad, reason, abort):
+        # From its first_bad-th call on, the loss formula gives sample 2, the one
+        # whose target is 1.5, a non-finite loss; the checked per_sample_loss uses
+        # the same formula. Batches of 2 take ids [1, 2], then [0, 3].
+        ds = data.Dataset(features=np.linspace(0.5, 1.0, 4)[:, None],
+                          targets=np.array([1.0, 1.0, 1.5, 1.0]), ids=np.arange(4),
+                          task=data.REGRESSION)
+        real_kernel, calls = models.loss_kernel, []
+
+        def poisoned_kernel(kind, predictions, targets, grad=False):
+            out = real_kernel(kind, predictions, targets, grad)
+            calls.append(None)
+            if len(calls) >= first_bad:
+                (out[0] if grad else out)[targets == 1.5] = bad
+            return out
+
+        monkeypatch.setattr(models, "loss_kernel", poisoned_kernel)
+        cfg = TrainerConfig(method="fl", eta_theta=0.1, eta_lambda=0.1, eps=0.0,
+                            batch_size=batch_size, epochs=3, primal_optimizer="adamw", seed=0)
+        record = train(cfg, models.LinearModel(1), ds)
+        assert record.status == "aborted"
+        assert record.abort_reason == reason
+        assert record.abort == abort
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("batch_size", [None, 2])
+    def test_a_non_finite_parameter_aborts(self, monkeypatch, bad, batch_size):
+        # The second primal step leaves one non-finite entry among finite ones.
+        ds = data.Dataset(features=np.ones((4, 3)), targets=np.ones(4), ids=np.arange(4),
+                          task=data.REGRESSION)
+        real_make, steps = trainers._make_optimizer, []
+
+        def poisoning_optimizer(config):
+            optimizer = real_make(config)
+
+            class Poisoning:
+                def step(self, theta, grad, lr):
+                    new = optimizer.step(theta, grad, lr)
+                    steps.append(None)
+                    if len(steps) == 2:
+                        new[1] = bad
+                    return new
+            return Poisoning()
+
+        monkeypatch.setattr(trainers, "_make_optimizer", poisoning_optimizer)
+        cfg = TrainerConfig(method="rfl", alpha=1.0, eta_theta=0.1, eta_lambda=0.1, eps=0.0,
+                            batch_size=batch_size, epochs=3, primal_optimizer="adamw", seed=0)
+        record = train(cfg, models.LinearModel(3), ds)
+        assert record.status == "aborted"
+        assert record.abort_reason == "parameters became non-finite after primal step"
+        assert record.abort == {"epoch": 0 if batch_size else 1, "step": 1, "ids": []}
+        assert repr(record.params.theta[1]) == repr(np.float64(bad))
+
+
+class TestLastRowStatistics:
+    @settings(max_examples=60, deadline=None)
+    @given(method=st.sampled_from(trainers.METHODS), classify=st.booleans(),
+           batch_size=st.sampled_from([None, 3, 5]), epochs=st.integers(1, 3),
+           per_sample_eps=st.booleans(), seed=st.integers(0, 2**16))
+    def test_last_row_is_the_statistics_of_the_final_arrays(self, method, classify, batch_size,
+                                                            epochs, per_sample_eps, seed):
+        # The row's sums, maxima and counts, whichever reductions the epoch
+        # shares with its checks, are those of the arrays the record keeps.
+        if classify:
+            ds, model = data.gen_two_moons(16, 0.2, seed), models.MLP((2, 4, 2))
+        else:
+            ds, model = data.gen_noisy_cosine(16, 0.2, seed), models.PolyModel(3, "chebyshev", (0.0, 1.0))
+        train_ds, test_ds = data.split_train_test(ds, 0.25, seed)
+        eps = np.random.default_rng(seed).uniform(0.0, 0.5, train_ds.n_samples)
+        cfg = TrainerConfig(method=method, eta_theta=0.02, eta_lambda=0.5, alpha=2.0,
+                            eps=eps.tolist() if per_sample_eps else 0.1, batch_size=batch_size,
+                            epochs=epochs, primal_optimizer="adamw", seed=seed)
+        record = train(cfg, model, train_ds, test_ds)
+        assert record.status == "completed"
+        last, lam = record.trajectory[-1], record.multipliers
+        losses, test_losses = record.train_losses, record.test_losses
+        bound = (eps if per_sample_eps else 0.1) + fs.SAT_TOL
+        expected = {
+            "train_mean_loss": losses.mean(), "train_max_loss": losses.max(),
+            "sat_fraction": (losses <= bound).mean(),
+            "lam_min": lam.min(), "lam_mean": lam.mean(), "lam_max": lam.max(),
+            "lam_frac_zero": (lam <= fs.ZERO_MULTIPLIER_TOL).mean(),
+            "test_mean_loss": test_losses.mean(), "test_max_loss": test_losses.max(),
+        }
+        assert {k: repr(last[k]) for k in expected} == {k: repr(float(v)) for k, v in expected.items()}
