@@ -246,7 +246,7 @@ def _seed_metrics(cfg: dict, record: tr.RunRecord, model: md.Model,
             out[f"{split}_cvar_{q}"] = mt.cvar(losses, q)
         if ds is not None and ds.task == dt.CLASSIFICATION:
             logits[split] = model.forward(record.params.theta, ds.features)
-            out[f"{split}_accuracy"] = float(np.mean(logits[split].argmax(axis=1) == ds.targets))
+            out[f"{split}_accuracy"] = md.accuracy(logits[split], ds.targets, md.CROSS_ENTROPY)
     if record.train_losses is not None:
         out["sat_fraction"] = float(np.mean(record.train_losses <= eps + fs.SAT_TOL))
     lam = record.multipliers

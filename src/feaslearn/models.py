@@ -5,16 +5,16 @@ float64 vector so optimizers and checkpoints never care about layer
 structure. All gradients are hand-written. A weighted gradient over a batch
 costs exactly one forward and one backward pass, the same as an unweighted
 (average-loss) gradient: per-sample gradients are never materialized. The
-trainer and the gradient oracle take that backward pass through the same
-function, :func:`weighted_grad`.
+trainer and the gradient oracle run that step through the same two functions,
+:func:`forward_loss` and :func:`weighted_grad`.
 
 ``forward_cache`` takes one parameter vector, shape (P,), or a stack of
-them, shape (S, P), through the same code: the predictions then carry the
-leading stack axis, and slice s is bit-equal to the pass at ``theta[s]``
-alone (every slice of a stacked ``np.matmul`` is the BLAS product of that
-vector alone, and the other steps are elementwise). So the trainer and the
-gradient oracle's finite differences run one forward. ``backward`` and
-:class:`Workspace` serve a single parameter vector only.
+them, shape (S, P), and :func:`loss_kernel` the predictions of either: slice
+s of a stacked result is bit-equal to the pass at ``theta[s]`` alone (every
+slice of a stacked ``np.matmul`` is the BLAS product of that vector alone,
+and the other steps are elementwise). So the gradient oracle's finite
+differences run the trainer's kernels. ``backward``, the checked functions
+and :class:`Workspace` serve a single parameter vector only.
 
 A :class:`Workspace` holds the per-row arrays of MLP passes (layer outputs,
 backward deltas, ReLU masks), so a training loop that runs thousands of passes
@@ -31,6 +31,7 @@ agreement between independent formulas, which single precision cannot reach.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -326,37 +327,38 @@ def per_sample_loss(kind: str, predictions, targets, ids=None) -> np.ndarray:
     squared_error: (pred - y)^2 for scalar predictions.
     cross_entropy: -log softmax(logits)[y], computed from logits via a
     stable log-sum-exp (never from normalized probabilities).
-    ``targets`` holds one entry per sample, shape (n,). ``predictions`` has
-    shape (n,) or (n, C), or carries leading stack axes, (..., n) or
-    (..., n, C), one row per stacked parameter vector: the losses then have
-    shape (..., n), each row bit-equal to the call on that row alone.
+    ``predictions`` has shape (n,) or (n, C) and ``targets`` shape (n,), one
+    row set: a stack of prediction rows is a ShapeError.
     Errors name the offending samples by ``ids``, or by row position when None.
     The formula is :func:`loss_kernel`; this function adds the checks.
     """
     predictions = np.asarray(predictions, dtype=np.float64)
-    if kind == SQUARED_ERROR:
-        targets = np.asarray(targets, dtype=np.float64)
-        if targets.ndim != 1 or predictions.shape[-1:] != targets.shape:
-            raise ShapeError(f"prediction shape {predictions.shape} != target shape {targets.shape}")
-    elif kind == CROSS_ENTROPY:
-        targets = np.asarray(targets, dtype=np.int64)
-        if predictions.ndim < 2 or targets.shape != predictions.shape[-2:-1]:
+    targets = _targets(kind, targets)
+    if kind == SQUARED_ERROR and (targets.ndim != 1 or predictions.shape != targets.shape):
+        raise ShapeError(f"prediction shape {predictions.shape} != target shape {targets.shape}")
+    if kind == CROSS_ENTROPY:
+        if predictions.ndim != 2 or targets.shape != predictions.shape[:1]:
             raise ShapeError("cross_entropy expects (n, C) logits and (n,) labels")
-        _check_labels(targets, predictions.shape[-1], ids)
-    else:
-        raise ParameterError(f"unknown loss kind {kind!r}")
+        _check_labels(targets, predictions.shape[1], ids)
     bad = ~np.isfinite(predictions)
     if bad.any():
-        named = named_rows(_per_sample(bad.any(axis=-1) if kind == CROSS_ENTROPY else bad), ids)
+        named = named_rows(bad.any(axis=1) if kind == CROSS_ENTROPY else bad, ids)
         raise NumericError(f"non-finite predictions for samples {named}", ids=named)
     # Finite predictions can still overflow; the check below names those samples.
     with np.errstate(over="ignore", invalid="ignore"):
         out = loss_kernel(kind, predictions, targets)
     overflow = ~np.isfinite(out)
     if overflow.any():
-        named = named_rows(_per_sample(overflow), ids)
+        named = named_rows(overflow, ids)
         raise NumericError(f"non-finite losses for samples {named}", ids=named)
     return out
+
+
+def _targets(kind: str, targets) -> np.ndarray:
+    """``targets`` as the float64 values or int64 labels of a known loss ``kind``."""
+    if kind not in (SQUARED_ERROR, CROSS_ENTROPY):
+        raise ParameterError(f"unknown loss kind {kind!r}")
+    return np.asarray(targets, dtype=np.float64 if kind == SQUARED_ERROR else np.int64)
 
 
 def _check_labels(targets: np.ndarray, width: int, ids) -> None:
@@ -375,7 +377,9 @@ def loss_kernel(kind: str, predictions, targets, grad: bool = False):
     Takes float64 predictions and a Dataset's targets (float64 values or
     int64 labels) of matching shapes, and leaves floating-point warnings to
     the caller's error state. A class label at or above the output width
-    raises IndexError; a negative one indexes from the end.
+    raises IndexError; a negative one indexes from the end. Without ``grad``,
+    predictions may carry leading stack axes, (..., n) or (..., n, C); each
+    row of the (..., n) losses is bit-equal to the call on that row alone.
     """
     if kind == SQUARED_ERROR:
         diff = predictions - targets
@@ -392,17 +396,32 @@ def loss_kernel(kind: str, predictions, targets, grad: bool = False):
     return losses, expz
 
 
-def _per_sample(mask) -> np.ndarray:
-    """A (..., n) mask over stacked rows reduced to one entry per sample."""
-    return mask.reshape(-1, mask.shape[-1]).any(axis=0)
-
-
 def loss_grad(kind: str, predictions, targets) -> np.ndarray:
     """Gradient of each per-sample loss with respect to its own prediction."""
-    if kind not in (SQUARED_ERROR, CROSS_ENTROPY):
-        raise ParameterError(f"unknown loss kind {kind!r}")
-    targets = np.asarray(targets, dtype=np.float64 if kind == SQUARED_ERROR else np.int64)
-    return loss_kernel(kind, np.asarray(predictions, dtype=np.float64), targets, grad=True)[1]
+    return loss_kernel(kind, np.asarray(predictions, dtype=np.float64), _targets(kind, targets), grad=True)[1]
+
+
+def forward_loss(model: Model, theta, rows, kind: str, workspace: Workspace | None = None, grad=False):
+    """(preds, cache, per-sample losses, loss gradient if ``grad`` else None,
+    sum of the losses) of one forward pass over ``rows``, a Batch of featurized
+    rows; preds and cache live in ``workspace`` until its next forward pass.
+    Non-finite losses, non-finite cross-entropy logits and a label beyond the
+    output width raise the error of the checked :func:`per_sample_loss`, which
+    names the samples. The training step and :func:`weighted_loss_grad` run it.
+    """
+    preds, cache = model.forward_cache(theta, rows.features, workspace)
+    try:
+        losses, dpred = (loss_kernel(kind, preds, rows.targets, grad=True) if grad
+                         else (loss_kernel(kind, preds, rows.targets), None))
+        total = float(np.add.reduce(losses))
+    except IndexError:
+        losses, total = None, math.nan
+    # Any non-finite entry makes the sum non-finite; then the checked function decides.
+    if not math.isfinite(total) or (
+            kind == CROSS_ENTROPY and not math.isfinite(np.add.reduce(preds, axis=None))):
+        losses = per_sample_loss(kind, preds, rows.targets, rows.ids)
+        total = float(np.add.reduce(losses))
+    return preds, cache, losses, dpred, total
 
 
 def weighted_grad(model: Model, cache, dpred, weights) -> np.ndarray:
@@ -417,7 +436,7 @@ def weighted_grad(model: Model, cache, dpred, weights) -> np.ndarray:
 
 
 def weighted_loss_grad(model: Model, theta, batch, weights, kind: str) -> np.ndarray:
-    """Gradient of sum_i weights_i * loss_i(theta) in one forward/backward pass.
+    """Gradient of sum_i weights_i * loss_i(theta): :func:`forward_loss`, then :func:`weighted_grad`.
 
     ``batch`` is any object with raw .features and .targets; errors name its
     samples by its .ids, if it has them. Weights must be non-negative; the
@@ -428,14 +447,23 @@ def weighted_loss_grad(model: Model, theta, batch, weights, kind: str) -> np.nda
         raise ShapeError("weights must have one entry per batch sample")
     if (weights < 0).any():
         raise ParameterError("weights must be non-negative")
-    preds, cache = model.forward_cache(theta, model.featurize(batch.features))
-    if kind == CROSS_ENTROPY:
-        _check_labels(np.asarray(batch.targets, dtype=np.int64), preds.shape[-1],
-                      getattr(batch, "ids", None))
-    grad = weighted_grad(model, cache, loss_grad(kind, preds, batch.targets), weights)
+    if np.shape(theta) != (model.n_params,):
+        raise ShapeError(f"weighted_loss_grad takes one theta, shape ({model.n_params},); got {np.shape(theta)}")
+    rows = _data.Batch(getattr(batch, "ids", None), model.featurize(batch.features), _targets(kind, batch.targets))
+    preds, cache, _, dpred, _ = forward_loss(model, theta, rows, kind, grad=True)
+    if kind == CROSS_ENTROPY:  # the kernel reads a negative label from the end
+        _check_labels(rows.targets, preds.shape[-1], rows.ids)
+    grad = weighted_grad(model, cache, dpred, weights)
     if not np.all(np.isfinite(grad)):
         raise NumericError("non-finite entries in weighted loss gradient")
     return grad
+
+
+def accuracy(preds, targets, kind: str) -> float:
+    """The fraction of rows whose largest logit is at their label; NaN for squared error."""
+    if kind == CROSS_ENTROPY:
+        return int(np.count_nonzero(preds.argmax(axis=1) == targets)) / len(targets)
+    return math.nan
 
 
 def classification_margins(logits, targets) -> np.ndarray:

@@ -211,9 +211,9 @@ def gradient_check_report(families=DEFAULT_FAMILIES, n_draws: int = 20,
     Two gradients per draw: the weighted per-sample loss gradient with random
     non-negative weights, and the clamped-and-squared penalty gradient taken
     through its envelope weights alpha [g - eps]_+. The finite differences
-    run the model's own ``forward_cache`` and loss on the whole probe stack,
-    the code the trainer runs on one theta. Reports the worst relative error
-    and the offending coordinate.
+    run the model's own ``forward_cache`` and ``loss_kernel`` on the whole
+    probe stack, the kernels of the trainer's step on one theta. Reports the
+    worst relative error and the offending coordinate.
     """
     if isinstance(families, str):
         raise ParameterError(f"families must be a sequence of family names, got the string {families!r}")
@@ -236,8 +236,7 @@ def gradient_check_report(families=DEFAULT_FAMILIES, n_draws: int = 20,
             features = model.featurize(batch.features)
 
             def stacked_losses(thetas):
-                return models.per_sample_loss(kind, model.forward_cache(thetas, features)[0],
-                                              batch.targets)
+                return models.loss_kernel(kind, model.forward_cache(thetas, features)[0], batch.targets)
 
             g0 = stacked_losses(theta)
             checks = [

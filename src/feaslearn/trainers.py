@@ -214,38 +214,10 @@ def _featurized(model: models.Model, dataset: Dataset) -> Batch:
     return Batch(dataset.ids, model.featurize(dataset.features), dataset.targets)
 
 
-def _accuracy(preds, targets, kind) -> float:
-    if kind == models.CROSS_ENTROPY:
-        return int(np.count_nonzero(preds.argmax(axis=1) == targets)) / len(targets)
-    return math.nan
-
-
-def _forward(model, theta, rows: Batch, kind, workspace: models.Workspace | None = None, grad=False):
-    """(preds, cache, per-sample losses, loss gradient if ``grad`` else None,
-    sum of the losses) of one forward pass over ``rows``; preds and cache live
-    in ``workspace`` until its next forward pass. Non-finite losses, non-finite
-    cross-entropy logits and a label beyond the output width raise the error
-    of the checked ``per_sample_loss``, which names the samples.
-    """
-    preds, cache = model.forward_cache(theta, rows.features, workspace)
-    try:
-        losses, dpred = (models.loss_kernel(kind, preds, rows.targets, grad=True) if grad
-                         else (models.loss_kernel(kind, preds, rows.targets), None))
-        total = float(np.add.reduce(losses))
-    except IndexError:
-        losses, total = None, math.nan
-    # Any non-finite entry makes the sum non-finite; then the checked function decides.
-    if not math.isfinite(total) or (
-            kind == models.CROSS_ENTROPY and not math.isfinite(np.add.reduce(preds, axis=None))):
-        losses = models.per_sample_loss(kind, preds, rows.targets, rows.ids)
-        total = float(np.add.reduce(losses))
-    return preds, cache, losses, dpred, total
-
-
 def _eval_split(model, theta, rows: Batch, kind, workspace: models.Workspace | None = None):
     """(losses, accuracy, sum of the losses) of a forward pass over ``rows``."""
-    preds, _, losses, _, total = _forward(model, theta, rows, kind, workspace)
-    return losses, _accuracy(preds, rows.targets, kind), total
+    preds, _, losses, _, total = models.forward_loss(model, theta, rows, kind, workspace)
+    return losses, models.accuracy(preds, rows.targets, kind), total
 
 
 def train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
@@ -298,7 +270,7 @@ def _train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
     step_idx = 0
     clock = time.perf_counter
     t_forward = t_dual = t_backward = t_step = t_eval = 0.0
-    # _forward of an epoch-end train forward, at the next step's theta and over
+    # forward_loss of an epoch-end train forward, at the next step's theta and over
     # all rows (a batch's ids are its row positions): that step's forward.
     ahead = None
     start = time.perf_counter()
@@ -315,7 +287,7 @@ def _train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
                         cache = model.cache_rows(cache, batch.ids, batch.features)
                         g, dpred = g[batch.ids], dpred[batch.ids]
                 else:
-                    _, cache, g, dpred, _ = _forward(model, theta, batch, kind, train_ws, grad=True)
+                    _, cache, g, dpred, _ = models.forward_loss(model, theta, batch, kind, train_ws, grad=True)
                 passes["forward"] += 1
                 t1 = clock()
                 eps_b = eps if full_batch else eps[batch.ids]
@@ -353,7 +325,7 @@ def _train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
                 if config.cosine_decay:
                     lr *= 0.5 * (1.0 + math.cos(math.pi * step_idx / total_steps))
                 theta = optimizer.step(theta, grad, lr)
-                # As in _forward: the entries decide only when the sum is not finite.
+                # As in forward_loss: the entries decide only when the sum is not finite.
                 if not math.isfinite(np.add.reduce(theta)) and not np.isfinite(theta).all():
                     raise NumericError("parameters became non-finite after primal step")
                 step_idx += 1
@@ -370,12 +342,12 @@ def _train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
         t0 = clock()
         try:
             if epoch < config.epochs - 1:
-                ahead = _forward(model, theta, train_rows, kind, train_ws, grad=True)
+                ahead = models.forward_loss(model, theta, train_rows, kind, train_ws, grad=True)
                 t1 = clock()  # the next step's forward, timed as one
                 t_forward += t1 - t0
                 t0 = t1
                 preds, _, train_losses, _, train_total = ahead
-                train_acc = _accuracy(preds, train_rows.targets, kind)
+                train_acc = models.accuracy(preds, train_rows.targets, kind)
             else:
                 train_losses, train_acc, train_total = _eval_split(model, theta, train_rows, kind, train_ws)
             test_eval = (_eval_split(model, theta, test_rows, kind, test_ws)

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from feaslearn import cli, models, trainers
+from feaslearn import cli, data, models, trainers
 from feaslearn import feasibility as fs
 from feaslearn.errors import ConfigError
 
@@ -808,6 +808,30 @@ class TestCompare:
         assert sorted(p.name for p in out.iterdir()) == [
             "cdf_fl_train.csv", "cdf_train.svg", "comparison.json", "cvar_fl_train.csv", "cvar_train.svg",
             "table.csv"]
+
+    def test_accuracy_is_over_the_runs_with_an_epoch_end_row(self, tmp_path):
+        # A row's losses are over every run with final losses, its accuracy over
+        # those with a trajectory row: a run that aborted before its first epoch
+        # end adds no accuracy, and one that aborted later adds its last
+        # completed epoch's, while its final losses are at the abort theta.
+        ds = data.gen_two_moons(40, 0.1, 0)
+        records = []
+        for eta_lambda in (5.0, 1e300, 40.0):
+            cfg = trainers.TrainerConfig(method="fl", eta_theta=1e-2, eta_lambda=eta_lambda, eps=0.3,
+                                         batch_size=8, epochs=4, seed=0)
+            records.append(trainers.train(cfg, models.MLP((2, 8, 2)), ds))
+            trainers.save_run(records[-1], tmp_path / f"run_{len(records)}")
+        done, aborted_at_start, aborted_later = records
+        assert [r.status for r in records] == ["completed", "aborted", "aborted"]
+        assert [len(r.trajectory) for r in records] == [4, 0, 2]
+        assert aborted_later.trajectory[-1]["train_mean_loss"] != float(aborted_later.train_losses.mean())
+        report = cli.compare([str(tmp_path / f"run_{i}") for i in (1, 2, 3)], out_dir=str(tmp_path / "cmp"))
+        (row,) = report["table"]
+        assert row["n_runs"] == 3
+        assert row["mean_loss"] == float(np.mean([float(r.train_losses.mean()) for r in records]))
+        accs = [done.trajectory[-1]["train_accuracy"], aborted_later.trajectory[-1]["train_accuracy"]]
+        assert accs[0] != accs[1]
+        assert (row["accuracy"], row["accuracy_std"]) == (float(np.mean(accs)), float(np.std(accs)))
 
     @pytest.mark.parametrize("q", ["1.0", "-0.5"])
     def test_quantile_outside_unit_interval_exits_two(self, tmp_path, capsys, q):

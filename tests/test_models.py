@@ -92,40 +92,13 @@ class TestPerSampleLoss:
             models.per_sample_loss("cross_entropy", preds, np.array([0, 1, 0]))
         assert err.value.ids == [1]
 
-    @settings(max_examples=60, deadline=None)
-    @given(kind=st.sampled_from([models.SQUARED_ERROR, models.CROSS_ENTROPY]),
-           lead=st.lists(st.integers(1, 4), min_size=1, max_size=2), n=st.integers(1, 11),
-           classes=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
-    def test_stacked_rows_equal_single_calls_bitwise(self, kind, lead, n, classes, seed):
-        rng = np.random.default_rng(seed)
-        if kind == models.SQUARED_ERROR:
-            preds, targets = rng.normal(scale=3.0, size=(*lead, n)), rng.normal(size=n)
-        else:
-            preds, targets = rng.normal(scale=3.0, size=(*lead, n, classes)), rng.integers(0, classes, n)
-        losses = models.per_sample_loss(kind, preds, targets)
-        assert losses.shape == (*lead, n)
-        for idx in np.ndindex(*lead):
-            assert np.array_equal(losses[idx], models.per_sample_loss(kind, preds[idx], targets))
-
     @pytest.mark.parametrize("kind", [models.SQUARED_ERROR, models.CROSS_ENTROPY])
-    def test_non_finite_row_in_a_stack_names_sample_ids(self, kind):
-        ids = np.array([10, 11, 12, 13])
+    def test_stacked_predictions_raise_shape_error(self, kind):
+        # one row set only: a stack of rows goes through loss_kernel
         targets = np.zeros(4) if kind == models.SQUARED_ERROR else np.zeros(4, dtype=int)
-        preds = np.zeros((2, 3, 4) if kind == models.SQUARED_ERROR else (2, 3, 4, 2))
-        preds[1, 2, 3] = np.nan  # sample 3 in one row of the stack
-        preds[0, 1, 1] = np.inf  # sample 1 in another
-        with pytest.raises(NumericError, match=r"non-finite predictions for samples \[11, 13\]") as err:
-            models.per_sample_loss(kind, preds, targets, ids)
-        assert err.value.ids == [11, 13]
-        # finite predictions whose losses overflow
-        preds = np.zeros(preds.shape)
-        preds[1, 0, 2] = 1e200 if kind == models.SQUARED_ERROR else -1e308
-        if kind == models.CROSS_ENTROPY:
-            preds[1, 0, 2, 1] = 1e308
-        with pytest.raises(NumericError, match=r"non-finite losses for samples \[12\]") as err, \
-                np.errstate(over="ignore"):
-            models.per_sample_loss(kind, preds, targets, ids)
-        assert err.value.ids == [12]
+        preds = np.zeros((2, 4) if kind == models.SQUARED_ERROR else (2, 4, 2))
+        with pytest.raises(ShapeError):
+            models.per_sample_loss(kind, preds, targets)
 
     @pytest.mark.parametrize("kind", [models.SQUARED_ERROR, models.CROSS_ENTROPY])
     def test_overflowing_losses_raise_without_warning(self, kind):
@@ -150,6 +123,11 @@ class TestPerSampleLoss:
             models.per_sample_loss("hinge", np.zeros(1), np.zeros(1))
         with pytest.raises(ParameterError, match="unknown loss kind 'hinge'"):
             models.loss_grad("hinge", np.zeros(1), np.zeros(1))
+        # a classifier's logits and labels fit the cross-entropy formula, but the kind is checked
+        model = models.MLP((2, 2))
+        batch = Batch(np.arange(2), np.ones((2, 2)), np.array([0, 1]))
+        with pytest.raises(ParameterError, match="unknown loss kind 'hinge'"):
+            models.weighted_loss_grad(model, model.init_params(0), batch, np.ones(2), "hinge")
 
     @pytest.mark.parametrize("label", [-1, 2, 7])
     def test_class_label_outside_the_output_width_names_its_sample(self, label):
@@ -176,6 +154,25 @@ class TestPerSampleLoss:
         logits = np.array([[1000.0, 0.0]])
         loss = models.per_sample_loss("cross_entropy", logits, np.array([0]))
         assert loss[0] == pytest.approx(0.0, abs=1e-12)
+
+
+class TestLossKernel:
+    """The oracle's probe stacks run the training step's loss formula."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from([models.SQUARED_ERROR, models.CROSS_ENTROPY]),
+           lead=st.lists(st.integers(1, 4), min_size=1, max_size=2), n=st.integers(1, 11),
+           classes=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+    def test_stacked_rows_equal_single_calls_bitwise(self, kind, lead, n, classes, seed):
+        rng = np.random.default_rng(seed)
+        if kind == models.SQUARED_ERROR:
+            preds, targets = rng.normal(scale=3.0, size=(*lead, n)), rng.normal(size=n)
+        else:
+            preds, targets = rng.normal(scale=3.0, size=(*lead, n, classes)), rng.integers(0, classes, n)
+        losses = models.loss_kernel(kind, preds, targets)
+        assert losses.shape == (*lead, n)
+        for idx in np.ndindex(*lead):
+            assert np.array_equal(losses[idx], models.loss_kernel(kind, preds[idx], targets))
 
 
 class TestLossKernelGradient:
@@ -386,13 +383,25 @@ class TestWeightedLossGrad:
 
     @pytest.mark.parametrize("x,weights,error,message", [
         (1.0, [1.0, 1.0, 1.0], ShapeError, "weights must have one entry per batch sample"),
-        (1e200, [1.0, 1.0], NumericError, "non-finite entries in weighted loss gradient"),
-    ], ids=["wrong_length_weights", "overflowing_gradient"])
+        (1e200, [1.0, 1.0], NumericError, r"non-finite losses for samples \[0, 1\]"),
+        (1e154, [1.0, 1.0], NumericError, "non-finite entries in weighted loss gradient"),
+    ], ids=["wrong_length_weights", "overflowing_losses", "overflowing_gradient"])
     def test_rejects_wrong_length_weights_and_non_finite_gradients(self, x, weights, error, message):
-        # at x = 1e200 the gradient x * 2 (x - 0) overflows
+        # at x = 1e200 the loss x^2 overflows, as train() reports it; at x = 1e154
+        # each loss x^2 is finite, but the gradient x * 2 (x - 0) overflows
         batch = Batch(np.arange(2), np.full((2, 1), x), np.zeros(2))
-        with np.errstate(over="ignore"), pytest.raises(error, match=message):
+        with np.errstate(over="ignore"), pytest.raises(error, match=message) as err:
             models.weighted_loss_grad(models.LinearModel(1), np.ones(1), batch, np.array(weights),
+                                      models.SQUARED_ERROR)
+        if x == 1e200:
+            assert err.value.ids == [0, 1]
+
+    @pytest.mark.parametrize("theta_shape", [(3, 2), (1, 2), (3,)])
+    def test_rejects_a_theta_stack(self, theta_shape):
+        # backward serves one theta: a (3, 2) stack over 3 rows would pass for a (2, 3) gradient
+        batch = Batch(np.arange(3), np.ones((3, 2)), np.zeros(3))
+        with pytest.raises(ShapeError, match=r"weighted_loss_grad takes one theta, shape \(2,\)"):
+            models.weighted_loss_grad(models.LinearModel(2), np.ones(theta_shape), batch, np.ones(3),
                                       models.SQUARED_ERROR)
 
     def test_single_forward_single_backward(self):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from feaslearn import data, feasibility as fs, models, trainers
+from feaslearn import data, feasibility as fs, models, oracle, trainers
 from feaslearn.errors import ParameterError
 from feaslearn.trainers import TrainerConfig, train
 
@@ -507,6 +507,56 @@ class TestCostParity:
         assert np.array_equal(patched, theta_double_eta)
         assert np.array_equal(
             models.weighted_loss_grad(model, theta, batch, weights, models.SQUARED_ERROR), 2.0 * grad)
+
+    def test_one_forward_loss_path_for_trainer_and_gradient_oracle(self, monkeypatch):
+        # Every forward of train(), of weighted_loss_grad and of the gradient
+        # oracle's analytic side is a models.forward_loss call; the oracle's
+        # probe stacks run the same kernels, forward_cache and loss_kernel, and
+        # never the checked per_sample_loss.
+        calls = dict.fromkeys(["forward_loss", "forward_cache", "loss_kernel"], 0)
+
+        def count(owner, name):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("per_sample_loss called on a finite run")
+
+        count(models, "forward_loss")
+        count(models.MLP, "forward_cache")
+        count(models, "loss_kernel")
+        monkeypatch.setattr(models, "per_sample_loss", refused)
+
+        train_ds, test_ds = data.split_train_test(data.gen_two_moons(80, 0.1, 0), 0.25, 0)
+        epochs, batch_size = 3, 16
+        cfg = TrainerConfig(method="fl", eta_theta=1e-2, eta_lambda=0.1, eps=0.3, batch_size=batch_size,
+                            epochs=epochs, primal_optimizer="adamw", seed=0)
+        record = train(cfg, models.MLP((2, 8, 2)), train_ds, test_ds)
+        steps = epochs * math.ceil(train_ds.n_samples / batch_size)
+        assert record.status == "completed"
+        # the steps, less the epoch firsts that take the look-ahead, plus that
+        # look-ahead, the last train evaluation and every test evaluation
+        assert calls["forward_loss"] == calls["forward_cache"] == steps + 1 + epochs
+
+        model = models.MLP((2, 5, 3))
+        theta = model.init_params(1)
+        batch = data.Batch(np.arange(4), np.ones((4, 2)), np.array([0, 2, 1, 0]))
+        calls.update(dict.fromkeys(calls, 0))
+        for _ in range(3):
+            models.weighted_loss_grad(model, theta, batch, np.ones(4), models.CROSS_ENTROPY)
+        assert calls == {"forward_loss": 3, "forward_cache": 3, "loss_kernel": 3}
+
+        calls.update(dict.fromkeys(calls, 0))
+        n_draws = 4
+        report = oracle.gradient_check_report(families=("mlp_classifier",), n_draws=n_draws)
+        assert report["passed"]
+        # per draw: two analytic gradients, and g0 plus two probe stacks
+        assert calls["forward_loss"] == 2 * n_draws
+        assert calls["forward_cache"] == calls["loss_kernel"] == 5 * n_draws
 
 
 class TestEquivalentTrajectories:
