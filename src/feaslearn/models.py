@@ -372,28 +372,37 @@ def _check_labels(targets: np.ndarray, width: int, ids) -> None:
 
 def loss_kernel(kind: str, predictions, targets, grad: bool = False):
     """The formula of :func:`per_sample_loss` alone, without its checks; with
-    ``grad``, the pair (losses, :func:`loss_grad` of unstacked predictions).
+    ``grad``, the pair (losses, :func:`loss_grad`).
 
     Takes float64 predictions and a Dataset's targets (float64 values or
     int64 labels) of matching shapes, and leaves floating-point warnings to
     the caller's error state. A class label at or above the output width
-    raises IndexError; a negative one indexes from the end. Without ``grad``,
-    predictions may carry leading stack axes, (..., n) or (..., n, C); each
-    row of the (..., n) losses is bit-equal to the call on that row alone.
+    raises IndexError; a negative one indexes from the end. Predictions may
+    carry leading stack axes, (..., n) or (..., n, C); each row of the
+    (..., n) losses, and of the C-contiguous (..., n, C) gradient, is
+    bit-equal to the call on that row alone.
+
+    Cross-entropy reduces over a class-major copy of the logits, (..., C, n),
+    in C - 1 elementwise passes over n-long rows (over the last axis of
+    (n, C), NumPy makes one inner-loop call per row). The class sum runs in
+    class order, ((e_0 + e_1) + e_2) + ..., as NumPy sums a row of up to 7
+    entries; a row of 8 or more it sums pairwise, so at C >= 8 the losses
+    and gradient round differently from a row sum, by a few ulps.
     """
     if kind == SQUARED_ERROR:
         diff = predictions - targets
         return (diff ** 2, 2.0 * diff) if grad else diff ** 2
     idx = np.arange(len(targets))
-    zmax = predictions.max(axis=-1, keepdims=True)
-    expz = np.exp(predictions - zmax)
-    total = expz.sum(axis=-1, keepdims=True)
-    losses = np.log(total[..., 0]) + zmax[..., 0] - predictions[..., idx, targets]
+    logits = np.ascontiguousarray(np.swapaxes(predictions, -1, -2))
+    zmax = np.maximum.reduce(logits, axis=-2)
+    expz = np.exp(logits - zmax[..., None, :])
+    total = np.add.reduce(expz, axis=-2)
+    losses = np.log(total) + zmax - logits[..., targets, idx]
     if not grad:
         return losses
-    expz /= total  # the softmax, less one at the true class
-    expz[idx, targets] -= 1.0
-    return losses, expz
+    expz /= total[..., None, :]  # the softmax, less one at the true class
+    expz[..., targets, idx] -= 1.0
+    return losses, np.ascontiguousarray(np.swapaxes(expz, -1, -2))
 
 
 def loss_grad(kind: str, predictions, targets) -> np.ndarray:

@@ -28,7 +28,7 @@ import numpy as np
 from . import feasibility as fs
 from . import models
 from .data import Batch, Dataset, batch_iter, combine_seed, epoch_rng
-from .errors import NumericError, ParameterError
+from .errors import NumericError, ParameterError, named_rows
 
 ERM = "erm"
 FL = "fl"
@@ -304,9 +304,10 @@ def _train(config: TrainerConfig, model: models.Model, train_ds: Dataset,
                     # One reduction for both checks: NaN fails the comparison, +inf exceeds.
                     weights_max = np.maximum.reduce(weights)
                     blown_up = not weights_max <= fs.BLOWUP_THRESHOLD
-                    if blown_up:
-                        # raises on a non-finite multiplier, naming its samples
-                        fs.dual_step_rfl(lam_b, v, config.eta_lambda, config.alpha, batch.ids)
+                    if not math.isfinite(weights_max):
+                        named = named_rows(~np.isfinite(weights), batch.ids)
+                        raise NumericError(
+                            f"dual update produced non-finite multipliers at {named}", ids=named)
                     if full_batch:
                         lam = weights
                     else:

@@ -174,6 +174,76 @@ class TestLossKernel:
         for idx in np.ndindex(*lead):
             assert np.array_equal(losses[idx], models.loss_kernel(kind, preds[idx], targets))
 
+    @staticmethod
+    def _row_reduction(preds, targets, grad):
+        """The cross-entropy kernel as it reduced over the last axis of
+        (..., n, C) until it took a class-major copy: the reference."""
+        idx = np.arange(len(targets))
+        zmax = preds.max(axis=-1, keepdims=True)
+        expz = np.exp(preds - zmax)
+        total = expz.sum(axis=-1, keepdims=True)
+        losses = np.log(total[..., 0]) + zmax[..., 0] - preds[..., idx, targets]
+        if not grad:
+            return losses, None
+        expz /= total
+        expz[..., idx, targets] -= 1.0
+        return losses, expz
+
+    @staticmethod
+    def _logits(seed, lead, n, classes, log_scale, tie_share):
+        """Logits of magnitude 10**log_scale, the largest logit of about
+        ``tie_share`` of the rows copied into another class, and labels."""
+        rng = np.random.default_rng(seed)
+        preds = rng.normal(scale=10.0 ** log_scale, size=(*lead, n, classes))
+        tied = rng.random((*lead, n)) < tie_share
+        top = preds.argmax(axis=-1)
+        other = (top + rng.integers(1, classes, top.shape)) % classes
+        at = np.nonzero(tied)
+        preds[(*at, other[at])] = preds[(*at, top[at])]
+        return preds, rng.integers(0, classes, n)
+
+    @settings(max_examples=80, deadline=None)
+    @given(lead=st.lists(st.integers(1, 3), max_size=2), n=st.integers(1, 700),
+           classes=st.integers(2, 7), log_scale=st.floats(-3.0, 2.0),
+           tie_share=st.sampled_from([0.0, 0.5, 1.0]), grad=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_class_major_reduction_is_bit_equal_to_the_row_reduction(
+            self, lead, n, classes, log_scale, tie_share, grad, seed):
+        preds, targets = self._logits(seed, lead, n, classes, log_scale, tie_share)
+        want_losses, want_grad = self._row_reduction(preds, targets, grad)
+        got = models.loss_kernel(models.CROSS_ENTROPY, preds, targets, grad=grad)
+        losses, dpred = got if grad else (got, None)
+        assert losses.tobytes() == want_losses.tobytes()
+        if grad:
+            assert dpred.flags.c_contiguous and dpred.shape == preds.shape
+            assert dpred.tobytes() == want_grad.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 300), classes=st.integers(8, 12), log_scale=st.floats(-3.0, 2.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_eight_or_more_classes_round_within_a_few_ulps_of_the_row_reduction(
+            self, n, classes, log_scale, seed):
+        # NumPy sums a row of 8 or more entries pairwise, the class-major sum
+        # adds the classes in order: the totals may differ in their last bits.
+        # Both errors are a few ulps of the loss's largest term, 1 + max |logit|.
+        preds, targets = self._logits(seed, (), n, classes, log_scale, 0.5)
+        want_losses, want_grad = self._row_reduction(preds, targets, True)
+        losses, dpred = models.loss_kernel(models.CROSS_ENTROPY, preds, targets, grad=True)
+        atol = 1e-14 * (1.0 + np.abs(preds).max())
+        assert np.allclose(losses, want_losses, rtol=1e-14, atol=atol)
+        assert np.allclose(dpred, want_grad, rtol=1e-14, atol=atol)
+
+    @pytest.mark.parametrize("grad", [False, True])
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_a_label_at_the_width_raises_and_a_negative_one_counts_from_the_end(self, grad, lead):
+        preds = np.random.default_rng(5).normal(size=(*lead, 4, 3))
+        with pytest.raises(IndexError):
+            models.loss_kernel(models.CROSS_ENTROPY, preds, np.array([0, 3, 1, 2]), grad=grad)
+        got = models.loss_kernel(models.CROSS_ENTROPY, preds, np.array([0, -1, 1, -3]), grad=grad)
+        want = models.loss_kernel(models.CROSS_ENTROPY, preds, np.array([0, 2, 1, 0]), grad=grad)
+        for a, b in zip(got, want) if grad else [(got, want)]:
+            assert a.tobytes() == b.tobytes()
+
 
 class TestLossKernelGradient:
     """A step's losses and loss gradient come from one loss_kernel call."""

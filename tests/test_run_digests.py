@@ -1,8 +1,13 @@
 """tools/run_digests.py, the bit-identity check between two checkouts, run on
 this checkout: it must finish, print the same digests twice, and print the
-pinned digests of the `feaslearn verify all --report` file and of three P8
-training runs (AdamW without and with weight decay) at two epochs."""
+pinned digests of the `feaslearn verify all --report` file, of three P8
+training runs (AdamW without and with weight decay) and of one two-moons fl
+run (the MLP and cross-entropy path) at two epochs. MLP bytes depend on the
+BLAS thread count, so the tool runs with OMP_NUM_THREADS,
+OPENBLAS_NUM_THREADS and MKL_NUM_THREADS set to 1, whatever the test's own
+environment holds."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -20,11 +25,18 @@ P8_RUNS = [
     "4b0c7c6313382fd2f244aef6fcd74f8b1eeee9ab0cb2f8d05c69a2d460229a08  "
     "outlier_regression_rfl-adamw_wd_cosine/checkpoint.bin",
 ]
+# An MLP run, pinned at one BLAS thread.
+MLP_RUNS = [
+    "4f6ba4af662868f3bc32cd33d12aba655999a9a93187ab77b938eca0f15e09c1  two_moons_fl-as_given/trajectory.csv",
+    "a7abc79baa9c261aeb16b8c68df5fe963b4088158de1fdf27a7690c410643b41  two_moons_fl-as_given/checkpoint.bin",
+]
+ONE_THREAD = dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1")
 
 
 def _digests() -> list[str]:
     out = subprocess.run([sys.executable, str(ROOT / "tools" / "run_digests.py"), str(ROOT),
-                          "--epochs", "2"], capture_output=True, text=True, timeout=120)
+                          "--epochs", "2"], capture_output=True, text=True, timeout=120,
+                         env={**os.environ, **ONE_THREAD})
     assert out.returncode == 0, out.stderr
     return out.stdout.splitlines()
 
@@ -33,4 +45,4 @@ def test_two_runs_print_the_same_digests_and_the_pinned_ones():
     first = _digests()
     assert first == _digests()
     assert VERIFY_ALL in first
-    assert [line for line in P8_RUNS if line not in first] == []
+    assert [line for line in P8_RUNS + MLP_RUNS if line not in first] == []

@@ -1052,11 +1052,16 @@ class TestAbortPathsUnderWarningsAsErrors:
         assert record.multipliers.tolist() == [1e300 * 1.0, 1e300 * 4.0, 0.0]
 
     @pytest.mark.parametrize("batch_size", [None, 2])
-    def test_non_finite_dual_update_keeps_the_old_multipliers(self, batch_size):
+    def test_non_finite_dual_update_keeps_the_old_multipliers(self, batch_size, monkeypatch):
         ds = data.Dataset(features=np.ones((3, 1)), targets=np.array([1.0, 2.0, 1e5]),
                           ids=np.arange(3), task=data.REGRESSION)
         cfg = TrainerConfig(method="rfl", alpha=1.0, eta_theta=1e-3, eta_lambda=1e300, eps=0.0,
                             batch_size=batch_size, epochs=3, seed=0)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the step names its samples from the multipliers it holds")
+
+        monkeypatch.setattr(fs, "dual_step_rfl", refused)
         record = self._train(cfg, models.LinearModel(1), ds)
         assert record.abort_reason == "dual update produced non-finite multipliers at [2]"
         assert record.abort["ids"] == [2]
